@@ -11,9 +11,6 @@ from .cpmap import (
     CompatibilityReport,
     State,
     SuperOperator,
-    adjoint,
-    apply,
-    choi_matrix,
     compatibility,
     is_completely_positive,
 )
@@ -25,13 +22,12 @@ from .embed import (
     build_embedded,
     classify_region,
     exact_norm_p2,
-    hjx_upper_bound,
+    upper_bound,
 )
 from .matcore import (
     PositiveMatrix,
     dual_element,
     frac_power,
-    kron,
     schatten_norm,
     singular_values,
 )
@@ -40,7 +36,6 @@ from .normest import (
     NormEstimate,
     dual_ascent,
     estimate_norm,
-    schatten_gradient,
 )
 from .qubitfamily import (
     QubitWitness,
@@ -58,19 +53,15 @@ from .qubitfamily import (
     theta_thresholds,
 )
 from .tensor import (
-    DivergenceTable,
     choi_shuffle_permutation,
-    divergence_table,
     kron_state,
     kron_superop,
-    tensor_norm_lower_bound,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CompatibilityReport",
-    "DivergenceTable",
     "EmbeddedMap",
     "EstimatorConfig",
     "NormEstimate",
@@ -82,17 +73,13 @@ __all__ = [
     "Status",
     "SuperOperator",
     "Thresholds",
-    "adjoint",
     "alpha",
     "alpha1",
-    "apply",
     "build_embedded",
-    "choi_matrix",
     "choi_shuffle_permutation",
     "classify_region",
     "compatibility",
     "delta",
-    "divergence_table",
     "dual_ascent",
     "dual_element",
     "estimate_norm",
@@ -101,18 +88,15 @@ __all__ = [
     "family_value",
     "find_counterexample",
     "frac_power",
-    "hjx_upper_bound",
     "is_completely_positive",
-    "kron",
     "kron_state",
     "kron_superop",
     "m_closed",
     "optimal_ab",
     "qubit_map",
     "qubit_state",
-    "schatten_gradient",
     "schatten_norm",
     "singular_values",
-    "tensor_norm_lower_bound",
     "theta_thresholds",
+    "upper_bound",
 ]

@@ -13,13 +13,12 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .cpmap import State, SuperOperator, compatibility
-from .embed import Source, build_embedded, classify_region
-from .normest import DEFAULT_SEED, EstimatorConfig, _thread_count, estimate_norm
+from .embed import build_embedded, classify_region, upper_bound
+from .normest import DEFAULT_SEED, EstimatorConfig, estimate_norm
 from .qubitfamily import family_max, find_counterexample
 from .tensor import steps_to_exceed
 
@@ -28,7 +27,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_VERIFY_FAILED = 3
 
 DIVERGENCE_THRESHOLD = 10.0
-DIVERGENCE_MAX_ROWS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -129,30 +127,17 @@ def phase_diagram_rows(
     p_step: float,
     *,
     with_family: bool,
-    threads: int | None = None,
 ) -> list[tuple[float, float, str, str, str]]:
-    """Grid classification; cells are independent, so they may run on a pool.
-
-    Rows are sorted by (p, theta) afterwards, so the output bytes never
-    depend on the thread count.
-    """
+    """Grid classification, one row per cell in (p, theta) order."""
     if not (1.0 <= p_min <= p_max):
         raise ValueError(f"need 1 <= p_min <= p_max, got [{p_min}, {p_max}]")
     if not (theta_step > 0 and p_step > 0):
         raise ValueError("grid steps must be positive")
-    cells = [
-        (p, theta)
+    return [
+        _diagram_cell(p, theta, with_family)
         for p in _grid(p_min, p_max, p_step)
         for theta in _grid(0.0, 1.0, theta_step)
     ]
-    nthreads = _thread_count(threads)
-    if nthreads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            rows = list(pool.map(lambda c: _diagram_cell(*c, with_family), cells))
-    else:
-        rows = [_diagram_cell(p, theta, with_family) for p, theta in cells]
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return rows
 
 
 def render_phase_diagram_csv(
@@ -162,11 +147,8 @@ def render_phase_diagram_csv(
     p_step: float,
     *,
     with_family: bool,
-    threads: int | None = None,
 ) -> str:
-    rows = phase_diagram_rows(
-        p_min, p_max, theta_step, p_step, with_family=with_family, threads=threads
-    )
+    rows = phase_diagram_rows(p_min, p_max, theta_step, p_step, with_family=with_family)
     lines = ["p,theta,status,source,family_max"]
     lines.extend(
         f"{_fmt(p)},{_fmt(theta)},{status},{source},{fam}"
@@ -203,15 +185,8 @@ def cmd_norm(args) -> int:
     est = estimate_norm(emap.u_action, args.p, cfg)
     rep = compatibility(base, state)
     region = classify_region(args.p, args.theta)
-
-    upper = None
-    upper_source = None
-    if rep.completely_positive:
-        bound = rep.c_inf ** (1.0 - 1.0 / args.p) * rep.c1 ** (1.0 / args.p)
-        if args.p >= 2.0:
-            upper, upper_source = bound, Source.THM41.value
-        elif args.theta == 0.5:
-            upper, upper_source = bound, Source.HJX_HALF.value
+    bound = upper_bound(rep, args.p, args.theta)
+    upper, upper_source = (None, None) if bound is None else (bound[0], bound[1].value)
     report = {
         "p": args.p,
         "theta": args.theta,
@@ -252,9 +227,7 @@ def cmd_counterexample(args) -> int:
             "m_value": witness.m_value,
             "p": witness.p,
             "theta": witness.theta,
-            "tensor_factors_to_exceed_10": steps_to_exceed(
-                witness.m_value, DIVERGENCE_THRESHOLD, DIVERGENCE_MAX_ROWS
-            ),
+            "tensor_factors_to_exceed_10": steps_to_exceed(witness.m_value, DIVERGENCE_THRESHOLD),
         }
     _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return EXIT_OK
@@ -304,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--with-family", action="store_true",
                     help="scan the 2x2 family per cell with p < 2")
     pd.add_argument("--out", help="output CSV path (default: stdout)")
-    pd.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                    help="accepted for flag uniformity; the sweep is deterministic")
     pd.set_defaults(func=cmd_phase_diagram)
 
     nm = sub.add_parser("norm", help="estimate the induced norm of one map")

@@ -152,20 +152,6 @@ def _reshuffle(m: np.ndarray, n: int) -> np.ndarray:
     return np.transpose(m.reshape(n, n, n, n), (3, 1, 2, 0)).reshape(n * n, n * n)
 
 
-def apply(t: SuperOperator, x) -> np.ndarray:
-    """Evaluate T(X)."""
-    return t(x)
-
-
-def choi_matrix(t: SuperOperator) -> np.ndarray:
-    """Choi block matrix [T(E_ij)]."""
-    return t.choi.copy()
-
-
-def adjoint(t: SuperOperator) -> SuperOperator:
-    return t.adjoint()
-
-
 def is_completely_positive(t: SuperOperator, tol: float = CP_TOL) -> bool:
     """Choi positivity test: Hermitian Choi with lambda_min >= -tol * scale."""
     if not tol > 0:
@@ -183,12 +169,13 @@ class CompatibilityReport:
     """Constants relating a map to a state.
 
     ``c1`` is the least C with tr(Gamma T(X)) <= C tr(Gamma X) on positive X;
-    ``c_inf`` is the operator norm, computed as ||T(I)|| for maps certified
-    completely positive and otherwise estimated from the action matrix.
+    ``c_inf`` is the operator norm ||T(I)|| for maps certified completely
+    positive, and None otherwise: without positivity ||T(I)|| need not be
+    the operator norm, and no other exact value is at hand.
     """
 
     c1: float
-    c_inf: float
+    c_inf: float | None
     unital: bool
     completely_positive: bool
 
@@ -206,12 +193,7 @@ def compatibility(t: SuperOperator, state: State) -> CompatibilityReport:
     eye = np.eye(t.dim, dtype=complex)
     t_of_i = t(eye)
     cp = is_completely_positive(t)
-    if cp:
-        c_inf = schatten_norm(t_of_i, math.inf)
-    else:
-        # No positivity certificate: fall back to the S^2 -> S^2 norm as a
-        # numerical proxy for the operator norm.
-        c_inf = float(np.linalg.svd(t.action_matrix, compute_uv=False)[0])
+    c_inf = schatten_norm(t_of_i, math.inf) if cp else None
     unital = bool(schatten_norm(t_of_i - eye, math.inf) <= UNITAL_TOL)
     return CompatibilityReport(
         c1=c1, c_inf=c_inf, unital=unital, completely_positive=cp

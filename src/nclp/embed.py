@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cpmap import State, SuperOperator, compatibility
+from .cpmap import CompatibilityReport, State, SuperOperator
 
 
 class Status(Enum):
@@ -97,17 +97,28 @@ def exact_norm_p2(emap: EmbeddedMap) -> float:
     return float(np.linalg.svd(emap.u_action.action_matrix, compute_uv=False)[0])
 
 
-def hjx_upper_bound(base: SuperOperator, state: State, p: float) -> float:
-    """Upper bound C_inf^(1 - 1/p) * C_1^(1/p) from the compatibility report.
+def upper_bound(
+    rep: CompatibilityReport, p: float, theta: float
+) -> tuple[float, Source] | None:
+    """Upper bound C_inf^(1 - 1/p) * C_1^(1/p) and the result justifying it.
 
-    Valid for 2-positive maps when p >= 2 (any theta) and for positive maps
-    at theta = 1/2 (any p >= 1); callers are responsible for checking that
-    one of those hypotheses holds.
+    Both results are applied only to maps certified completely positive (the
+    Choi test certifies nothing weaker, and CP implies the 2-positivity that
+    Thm 4.1 asks for): Thm 4.1 covers p >= 2 at any theta, the
+    Haagerup-Junge-Xu bound covers theta = 1/2 at any p.  Returns None when
+    neither applies.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    rep = compatibility(base, state)
-    return float(rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p))
+    if not rep.completely_positive:
+        return None
+    if p >= 2.0:
+        source = Source.THM41
+    elif theta == 0.5:
+        source = Source.HJX_HALF
+    else:
+        return None
+    return rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p), source
 
 
 def classify_region(p: float, theta: float) -> RegionStatus:

@@ -62,7 +62,8 @@ def dual_element(x, p: float) -> np.ndarray:
     Built from the SVD of ``x`` as U diag(sigma^(p-1)) V^* / ||x||_p^(p-1).
     At the nonsmooth endpoints a fixed subgradient is selected: for p = 1 the
     polar factor restricted to the numerical support, for p = inf the first
-    (descending order) singular dyad.
+    (descending order) singular dyad.  For 1 < p < inf, Z is also the
+    Euclidean gradient of Y -> ||Y||_p under the pairing df = Re tr(Z^* dY).
     """
     if not (p >= 1.0):
         raise ValueError(f"dual element requires p >= 1, got {p}")
@@ -80,11 +81,6 @@ def dual_element(x, p: float) -> np.ndarray:
     weights = (s / top) ** (p - 1.0)
     scale = (top / schatten_norm(m, p)) ** (p - 1.0)
     return (u * (weights * scale)) @ vh
-
-
-def kron(x, y) -> np.ndarray:
-    """Kronecker product with lexicographic row/column index convention."""
-    return np.kron(_as_matrix(x), _as_matrix(y))
 
 
 @dataclass(frozen=True)

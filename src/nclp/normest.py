@@ -9,8 +9,6 @@ value is achieved by its witness and is therefore a sound lower bound.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +58,6 @@ class AscentResult:
     iterations: int
     converged: bool
     objectives: tuple[float, ...]
-
-
-def schatten_gradient(y, p: float) -> np.ndarray:
-    """Euclidean gradient of Y -> ||Y||_p for 1 < p < inf.
-
-    Equals ||Y||_p^(1-p) * U diag(sigma^(p-1)) V^*; the pairing is
-    df = Re tr(G^* dY), i.e. real and imaginary parts of G are the partial
-    derivatives with respect to the real and imaginary parts of Y.
-    """
-    if not (1.0 < p < math.inf):
-        raise ValueError(f"gradient requires 1 < p < inf, got {p}")
-    return dual_element(y, p)
 
 
 def dual_ascent(
@@ -159,27 +145,19 @@ def _ginibre(n: int, seed: int, index: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("NCLP_THREADS", "1"))
-    return max(1, threads)
-
-
 def estimate_norm(
     u: SuperOperator,
     p: float,
     cfg: EstimatorConfig | None = None,
     *,
     starts=(),
-    threads: int | None = None,
 ) -> NormEstimate:
     """Best witness value of the dual ascent over deterministic and random starts.
 
     Starts are, in order: caller-supplied ``starts`` (normalized), all matrix
     units, anti-diagonal probes when the map acts on M_2, then ``cfg.restarts``
     Ginibre draws keyed by (cfg.seed, restart index).  Results are merged by
-    maximum value with the earliest start winning ties, so the outcome does
-    not depend on ``threads``.
+    maximum value with the earliest start winning ties.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
@@ -194,15 +172,10 @@ def estimate_norm(
         _normalize(_ginibre(n, cfg.seed, k), p) for k in range(cfg.restarts)
     )
 
-    def run(y0: np.ndarray) -> AscentResult:
-        return dual_ascent(u, p, y0, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
-
-    nthreads = _thread_count(threads)
-    if nthreads > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(run, candidates))
-    else:
-        results = [run(y0) for y0 in candidates]
+    results = [
+        dual_ascent(u, p, y0, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
+        for y0 in candidates
+    ]
 
     best = results[0]
     for res in results[1:]:

@@ -1,4 +1,4 @@
-"""Kronecker products of superoperators and tensor-power divergence tables.
+"""Kronecker products of superoperators and tensor-power divergence counts.
 
 Index convention: the composite algebra M_(n1*n2) uses lexicographic row
 indices i = i1 * n2 + i2 (the standard Kronecker layout), matching
@@ -11,11 +11,10 @@ bound exceeding 1 therefore diverge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import State, SuperOperator, vec
+from .cpmap import State, SuperOperator
 
 # Building an n^2 x n^2 action matrix grows as dim^4; default guard.
 MAX_KRON_DIM = 16
@@ -24,7 +23,12 @@ MAX_KRON_DIM = 16
 def kron_superop(
     s1: SuperOperator, s2: SuperOperator, *, max_dim: int = MAX_KRON_DIM
 ) -> SuperOperator:
-    """The map with (S1 kron S2)(X kron Y) = S1(X) kron S2(Y), extended linearly."""
+    """The map with (S1 kron S2)(X kron Y) = S1(X) kron S2(Y), extended linearly.
+
+    Under column stacking an action-matrix index of M_n reads (col, row) in
+    C order, so ``np.kron(K1, K2)`` carries the axes (l1, k1, l2, k2) on each
+    side and the composite needs (l1, l2, k1, k2): one axis swap per side.
+    """
     n1, n2 = s1.dim, s2.dim
     n = n1 * n2
     if n > max_dim:
@@ -32,18 +36,12 @@ def kron_superop(
             f"composite dimension {n} exceeds max_dim={max_dim}; "
             "pass a larger max_dim to override"
         )
-    action = np.zeros((n * n, n * n), dtype=complex)
-    for j1 in range(n1):
-        for i1 in range(n1):
-            e1 = np.zeros((n1, n1), dtype=complex)
-            e1[i1, j1] = 1.0
-            out1 = s1(e1)
-            for j2 in range(n2):
-                for i2 in range(n2):
-                    e2 = np.zeros((n2, n2), dtype=complex)
-                    e2[i2, j2] = 1.0
-                    col = (i1 * n2 + i2) + n * (j1 * n2 + j2)
-                    action[:, col] = vec(np.kron(out1, s2(e2)))
+    action = (
+        np.kron(s1.action_matrix, s2.action_matrix)
+        .reshape((n1, n1, n2, n2) * 2)
+        .transpose(0, 2, 1, 3, 4, 6, 5, 7)
+        .reshape(n * n, n * n)
+    )
     return SuperOperator(action)
 
 
@@ -59,39 +57,7 @@ def choi_shuffle_permutation(n1: int, n2: int) -> np.ndarray:
     Returns ``perm`` such that for T = T1 kron T2 on M_(n1*n2),
     ``choi(T)[np.ix_(perm, perm)] == np.kron(choi(T1), choi(T2))``.
     """
-    n = n1 * n2
-    perm = np.empty(n * n, dtype=np.intp)
-    for i1 in range(n1):
-        for k1 in range(n1):
-            for i2 in range(n2):
-                for k2 in range(n2):
-                    src = (i1 * n1 + k1) * n2 * n2 + (i2 * n2 + k2)
-                    perm[src] = (i1 * n2 + i2) * n + (k1 * n2 + k2)
-    return perm
-
-
-def tensor_norm_lower_bound(values) -> float:
-    """Product of per-factor certified lower bounds."""
-    result = 1.0
-    for v in values:
-        if v < 0:
-            raise ValueError(f"lower bounds must be non-negative, got {v}")
-        result *= float(v)
-    return result
-
-
-@dataclass(frozen=True)
-class DivergenceTable:
-    """Rows (n, bound^n): lower bounds along the tensor-power sequence."""
-
-    rows: tuple[tuple[int, float], ...]
-
-    def first_exceeding(self, threshold: float) -> int | None:
-        """Smallest n with bound > threshold, or None within this table."""
-        for n, bound in self.rows:
-            if bound > threshold:
-                return n
-        return None
+    return np.arange((n1 * n2) ** 2).reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3).ravel()
 
 
 def _power(base: float, n: int) -> float:
@@ -101,23 +67,21 @@ def _power(base: float, n: int) -> float:
         return math.inf
 
 
-def divergence_table(per_factor: float, n_max: int) -> DivergenceTable:
-    """Tabulate per_factor^n for n = 1..n_max (inf once the float range is left)."""
+def steps_to_exceed(per_factor: float, threshold: float) -> int | None:
+    """Smallest n >= 1 with per_factor^n > threshold, or None if no power exceeds it.
+
+    For per_factor > 1 the count is ceil(ln threshold / ln per_factor),
+    confirmed against the float powers at n - 1 and n.
+    """
     if per_factor < 0:
         raise ValueError(f"per-factor bound must be non-negative, got {per_factor}")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rows = tuple((n, _power(per_factor, n)) for n in range(1, n_max + 1))
-    return DivergenceTable(rows=rows)
-
-
-def steps_to_exceed(
-    per_factor: float, threshold: float, max_steps: int = 10_000
-) -> int | None:
-    """Smallest n with per_factor^n > threshold, or None within max_steps."""
-    if per_factor < 0:
-        raise ValueError(f"per-factor bound must be non-negative, got {per_factor}")
-    for n in range(1, max_steps + 1):
-        if _power(per_factor, n) > threshold:
-            return n
-    return None
+    if _power(per_factor, 1) > threshold:
+        return 1
+    if per_factor <= 1.0 or not threshold < math.inf:
+        return None
+    n = max(1, math.ceil(math.log(threshold) / math.log(per_factor)))
+    while _power(per_factor, n) <= threshold:
+        n += 1
+    while n > 1 and _power(per_factor, n - 1) > threshold:
+        n -= 1
+    return n

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -120,11 +121,14 @@ def test_phase_diagram_floats_round_trip():
     assert thetas == [0.0 + k * 0.3 for k in range(4)]
 
 
-def test_phase_diagram_thread_count_never_changes_bytes():
-    args = dict(p_min=1.0, p_max=2.0, theta_step=0.2, p_step=0.5, with_family=True)
-    serial = cli.render_phase_diagram_csv(**args, threads=1)
-    for threads in (2, 4):
-        assert cli.render_phase_diagram_csv(**args, threads=threads) == serial
+def test_phase_diagram_rejects_seed_flag():
+    # the sweep draws nothing at random, so it takes no seed
+    with pytest.raises(SystemExit) as exc:
+        cli.main(
+            ["phase-diagram", "--p-min", "1", "--p-max", "2", "--p-step", "1",
+             "--theta-step", "0.5", "--seed", "1"]
+        )
+    assert exc.value.code == cli.EXIT_INVALID_INPUT
 
 
 def test_phase_diagram_rejects_bad_range(capsys):
@@ -200,6 +204,18 @@ def test_norm_half_theta_upper_bound(tmp_path):
     assert report["lower_bound"] <= report["upper_bound"] + 1e-8
 
 
+def test_norm_non_cp_map_reports_null_cinf(tmp_path):
+    transpose = cli.encode_superop(SuperOperator.from_map(lambda e: e.T.copy(), 2))
+    code, report = run_norm(
+        tmp_path, transpose, QUBIT_STATE_06, ["--p", "2", "--theta", "0.5", "--restarts", "2"]
+    )
+    assert code == 0
+    assert report["cp"] is False
+    assert report["c_inf"] is None
+    assert report["upper_bound"] is None and report["upper_bound_source"] is None
+    assert report["c1"] == pytest.approx(1.0, abs=1e-10)
+
+
 def test_norm_rejects_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -231,6 +247,20 @@ def test_counterexample_witness_payload(capsys):
     assert payload["m_value"] > 1.0 + 1e-6
     assert payload["tensor_factors_to_exceed_10"] >= 1
     assert payload["a"] == 1.0 and payload["b"] == 0.0
+
+
+def test_counterexample_near_threshold_counts_factors(capsys):
+    # m is within 5e-7 of 1, so the factor count is in the millions
+    theta0 = (1.0 - math.sqrt(0.5)) / 2.0
+    code = cli.main(
+        ["counterexample", "--p", "1.5", "--theta", repr(theta0 - 1e-4), "--tol", "1e-9"]
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    m, k = payload["m_value"], payload["tensor_factors_to_exceed_10"]
+    assert 1.0 + 1e-9 < m < 1.000001
+    assert k == math.ceil(math.log(10.0) / math.log(m))
+    assert m ** (k - 1) <= 10.0 < m**k
 
 
 def test_counterexample_none(capsys):

@@ -6,9 +6,6 @@ import pytest
 from nclp.cpmap import (
     State,
     SuperOperator,
-    adjoint,
-    apply,
-    choi_matrix,
     compatibility,
     is_completely_positive,
     unvec,
@@ -67,10 +64,10 @@ def test_qubit_map_on_matrix_units():
     c = 0.6
     t = qubit_map(c)
     s = math.sqrt(c * (1 - c))
-    assert np.abs(apply(t, E11) - (1 - c) * np.eye(2)).max() < 1e-14
-    assert np.abs(apply(t, E22) - c * np.eye(2)).max() < 1e-14
-    assert np.abs(apply(t, E12) - s * (E12 + E21)).max() < 1e-14
-    assert np.abs(apply(t, E21) - s * (E12 + E21)).max() < 1e-14
+    assert np.abs(t(E11) - (1 - c) * np.eye(2)).max() < 1e-14
+    assert np.abs(t(E22) - c * np.eye(2)).max() < 1e-14
+    assert np.abs(t(E12) - s * (E12 + E21)).max() < 1e-14
+    assert np.abs(t(E21) - s * (E12 + E21)).max() < 1e-14
 
 
 def test_apply_dimension_mismatch():
@@ -97,7 +94,7 @@ def test_choi_of_identity_is_rank_one_entangled():
             e = np.zeros((2, 2), dtype=complex)
             e[i, j] = 1.0
             expected += np.kron(e, e)
-    assert np.abs(choi_matrix(t) - expected).max() < 1e-14
+    assert np.abs(t.choi - expected).max() < 1e-14
 
 
 def test_choi_of_qubit_map_matches_block_layout():
@@ -112,7 +109,7 @@ def test_choi_of_qubit_map_matches_block_layout():
         ],
         dtype=complex,
     )
-    assert np.abs(choi_matrix(qubit_map(c)) - expected).max() < 1e-14
+    assert np.abs(qubit_map(c).choi - expected).max() < 1e-14
 
 
 def test_choi_blocks_are_map_values():
@@ -170,12 +167,12 @@ def test_cp_tol_must_be_positive():
 
 def test_adjoint_of_identity():
     t = SuperOperator.identity(2)
-    assert np.abs(adjoint(t).action_matrix - t.action_matrix).max() == 0.0
+    assert np.abs(t.adjoint().action_matrix - t.action_matrix).max() == 0.0
 
 
 def test_adjoint_is_involution():
     t = SuperOperator(ginibre(9))
-    assert np.abs(adjoint(adjoint(t)).action_matrix - t.action_matrix).max() <= 1e-12
+    assert np.abs(t.adjoint().adjoint().action_matrix - t.action_matrix).max() <= 1e-12
 
 
 def test_adjoint_duality_pairing():
@@ -184,14 +181,14 @@ def test_adjoint_duality_pairing():
         for _ in range(5):
             x, y = ginibre(n), ginibre(n)
             lhs = np.trace(y.conj().T @ t(x))
-            rhs = np.trace(adjoint(t)(y).conj().T @ x)
+            rhs = np.trace(t.adjoint()(y).conj().T @ x)
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_qubit_adjoint_fixes_family_state():
     c = 0.35
     gamma = qubit_state(c).gamma.matrix
-    assert np.abs(adjoint(qubit_map(c))(gamma) - gamma).max() < 1e-14
+    assert np.abs(qubit_map(c).adjoint()(gamma) - gamma).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +211,22 @@ def test_compatibility_scaled_identity():
     assert not rep.unital
 
 
+def test_compatibility_non_cp_has_no_cinf():
+    # the transpose is positive but not CP; its S^2 norm is no operator norm
+    transpose = SuperOperator.from_map(lambda e: e.T.copy(), 2)
+    rep = compatibility(transpose, qubit_state(0.3))
+    assert not rep.completely_positive
+    assert rep.c_inf is None
+    assert rep.unital
+    assert rep.c1 == pytest.approx(1.0, abs=1e-12)
+
+
 def test_compatibility_state_preparation():
     # T(X) = tr(sigma X) I with sigma = Gamma: adjoint maps Gamma to tr(Gamma) Gamma
     gamma = np.diag([0.3, 0.7]).astype(complex)
     t = SuperOperator.from_map(lambda e: np.trace(gamma @ e) * np.eye(2), 2)
     state = State.from_matrix(gamma)
-    assert np.abs(adjoint(t)(gamma) - gamma).max() < 1e-14
+    assert np.abs(t.adjoint()(gamma) - gamma).max() < 1e-14
     rep = compatibility(t, state)
     assert rep.unital
     assert rep.c1 == pytest.approx(1.0, abs=1e-10)
@@ -232,7 +239,7 @@ def test_c1_is_least_constant():
         state = random_state(n)
         c1 = compatibility(t, state).c1
         gamma = state.gamma.matrix
-        tgam = adjoint(t)(gamma)
+        tgam = t.adjoint()(gamma)
 
         def lam_min(cc):
             m = cc * gamma - tgam

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.cpmap import State, SuperOperator
+from nclp.cpmap import State, SuperOperator, compatibility
 from nclp.embed import (
     RegionStatus,
     Source,
@@ -11,7 +11,7 @@ from nclp.embed import (
     build_embedded,
     classify_region,
     exact_norm_p2,
-    hjx_upper_bound,
+    upper_bound,
 )
 from nclp.normest import EstimatorConfig, estimate_norm
 from nclp.qubitfamily import delta, qubit_map, qubit_state
@@ -114,19 +114,20 @@ def test_exact_norm_p2_requires_p2():
 
 
 # ---------------------------------------------------------------------------
-# hjx_upper_bound
+# upper_bound
 
 
 def test_upper_bound_for_state_preserving_unital_cp():
+    rep = compatibility(qubit_map(0.3), qubit_state(0.3))
     for p in (1.0, 1.5, 2.0, 4.0):
-        assert hjx_upper_bound(qubit_map(0.3), qubit_state(0.3), p) == pytest.approx(
-            1.0, abs=1e-10
-        )
+        value, _ = upper_bound(rep, p, 0.5)
+        assert value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_upper_bound_scaled_identity():
-    t = 2.0 * SuperOperator.identity(2)
-    assert hjx_upper_bound(t, random_state(2), 2.0) == pytest.approx(2.0, abs=1e-10)
+    rep = compatibility(2.0 * SuperOperator.identity(2), random_state(2))
+    value, _ = upper_bound(rep, 2.0, 0.3)
+    assert value == pytest.approx(2.0, abs=1e-10)
 
 
 def test_upper_bound_interpolates_constants():
@@ -135,12 +136,38 @@ def test_upper_bound_interpolates_constants():
     sigma = np.diag([0.8, 0.2]).astype(complex)
     t = SuperOperator.from_map(lambda e: np.trace(sigma @ e) * np.eye(2), 2)
     state = State.from_matrix(gamma)
-    from nclp.cpmap import compatibility
-
     rep = compatibility(t, state)
     assert rep.c_inf == pytest.approx(1.0, abs=1e-10)
     assert rep.c1 == pytest.approx(4.0, abs=1e-10)
-    assert hjx_upper_bound(t, state, 2.0) == pytest.approx(2.0, abs=1e-9)
+    value, _ = upper_bound(rep, 2.0, 0.0)
+    assert value == pytest.approx(2.0, abs=1e-9)
+
+
+def test_upper_bound_source():
+    rep = compatibility(qubit_map(0.3), qubit_state(0.3))
+    for p, theta in ((2.0, 0.0), (3.0, 1.0), (2.0, 0.5), (4.0, 0.5)):
+        assert upper_bound(rep, p, theta)[1] is Source.THM41
+    for p in (1.0, 1.5, 1.99):
+        assert upper_bound(rep, p, 0.5)[1] is Source.HJX_HALF
+
+
+def test_upper_bound_none_without_theorem():
+    # p < 2 off theta = 1/2 has no explicit constant, even where bounded
+    rep = compatibility(qubit_map(0.3), qubit_state(0.3))
+    for p, theta in ((1.0, 0.0), (1.5, 0.4), (1.5, 0.6), (1.99, 1.0)):
+        assert upper_bound(rep, p, theta) is None
+    # a map that is not CP gets no bound at any (p, theta)
+    transpose = SuperOperator.from_map(lambda e: e.T.copy(), 2)
+    rep = compatibility(transpose, qubit_state(0.3))
+    for p, theta in ((2.0, 0.0), (3.0, 0.5), (1.5, 0.5), (1.0, 0.0)):
+        assert upper_bound(rep, p, theta) is None
+
+
+def test_upper_bound_rejects_bad_p():
+    rep = compatibility(qubit_map(0.3), qubit_state(0.3))
+    for p in (0.5, math.inf):
+        with pytest.raises(ValueError):
+            upper_bound(rep, p, 0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,8 @@ import pytest
 
 from nclp.cpmap import State, SuperOperator
 from nclp.embed import build_embedded, exact_norm_p2
-from nclp.matcore import schatten_norm
-from nclp.normest import (
-    EstimatorConfig,
-    dual_ascent,
-    estimate_norm,
-    schatten_gradient,
-)
+from nclp.matcore import dual_element, schatten_norm
+from nclp.normest import EstimatorConfig, dual_ascent, estimate_norm
 from nclp.qubitfamily import delta, family_value, optimal_ab, qubit_map, qubit_state
 
 RNG = np.random.default_rng(20240814)
@@ -108,12 +103,12 @@ def test_monotone_ascent_objectives():
             assert hi >= lo - 1e-12
 
 
-def test_determinism_same_seed_and_threads():
+def test_determinism_same_seed():
     t = SuperOperator(RNG.standard_normal((4, 4)) + 1j * RNG.standard_normal((4, 4)))
     cfg = EstimatorConfig(restarts=8, seed=99)
-    ref = estimate_norm(t, 1.5, cfg, threads=1)
-    for threads in (1, 2, 4):
-        again = estimate_norm(t, 1.5, cfg, threads=threads)
+    ref = estimate_norm(t, 1.5, cfg)
+    for _ in range(3):
+        again = estimate_norm(t, 1.5, cfg)
         assert again.value == ref.value
         assert np.array_equal(again.witness, ref.witness)
 
@@ -153,12 +148,12 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# schatten_gradient
+# dual_element as the gradient of the Schatten norm
 
 
 def test_gradient_p2_is_normalized_input():
     y = ginibre(3)
-    g = schatten_gradient(y, 2.0)
+    g = dual_element(y, 2.0)
     assert np.abs(g - y / schatten_norm(y, 2.0)).max() < 1e-12
 
 
@@ -166,7 +161,7 @@ def test_gradient_diagonal_real():
     y = np.diag([2.0, -3.0]).astype(complex)
     p = 1.5
     norm = schatten_norm(y, p)
-    g = schatten_gradient(y, p)
+    g = dual_element(y, p)
     expected = np.diag(
         [np.sign(d) * abs(d) ** (p - 1) / norm ** (p - 1) for d in [2.0, -3.0]]
     )
@@ -177,7 +172,7 @@ def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(8)
     y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     p = 1.5
-    g = schatten_gradient(y, p)
+    g = dual_element(y, p)
     step = 1e-5
     for i in range(3):
         for j in range(3):
@@ -187,12 +182,3 @@ def test_gradient_matches_finite_differences():
                 fd = (schatten_norm(y + d, p) - schatten_norm(y - d, p)) / (2 * step)
                 assert abs(fd - target) <= 1e-6
 
-
-def test_gradient_rejects_endpoints():
-    y = ginibre(2)
-    with pytest.raises(ValueError):
-        schatten_gradient(y, 1.0)
-    with pytest.raises(ValueError):
-        schatten_gradient(y, math.inf)
-    with pytest.raises(ValueError):
-        schatten_gradient(np.zeros((2, 2)), 1.5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.cpmap import adjoint, is_completely_positive
+from nclp.cpmap import is_completely_positive
 from nclp.embed import Status, classify_region
 from nclp.qubitfamily import (
     QubitWitness,
@@ -49,7 +49,7 @@ def test_qubit_map_unital_cp_state_preserving():
         assert is_completely_positive(t, 1e-10)
         assert np.abs(t(np.eye(2)) - np.eye(2)).max() < 1e-14
         gamma = qubit_state(c).gamma.matrix
-        assert np.abs(adjoint(t)(gamma) - gamma).max() < 1e-14
+        assert np.abs(t.adjoint()(gamma) - gamma).max() < 1e-14
 
 
 # ---------------------------------------------------------------------------

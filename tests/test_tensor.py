@@ -8,13 +8,10 @@ from nclp.embed import build_embedded, exact_norm_p2
 from nclp.normest import EstimatorConfig, estimate_norm
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.tensor import (
-    DivergenceTable,
     choi_shuffle_permutation,
-    divergence_table,
     kron_state,
     kron_superop,
     steps_to_exceed,
-    tensor_norm_lower_bound,
 )
 
 RNG = np.random.default_rng(20240815)
@@ -40,16 +37,15 @@ def test_kron_of_identities_is_identity():
 
 
 def test_kron_defining_property_on_units():
-    s1 = SuperOperator(ginibre(4))
-    s2 = SuperOperator(ginibre(4))
-    big = kron_superop(s1, s2)
-    for i1 in range(2):
-        for j1 in range(2):
-            for i2 in range(2):
-                for j2 in range(2):
-                    x = np.kron(unit(2, i1, j1), unit(2, i2, j2))
-                    expected = np.kron(s1(unit(2, i1, j1)), s2(unit(2, i2, j2)))
-                    assert np.abs(big(x) - expected).max() <= 1e-12
+    for n1, n2 in ((2, 2), (2, 3), (3, 2)):
+        s1 = SuperOperator(ginibre(n1 * n1))
+        s2 = SuperOperator(ginibre(n2 * n2))
+        big = kron_superop(s1, s2)
+        for i1, j1 in np.ndindex(n1, n1):
+            for i2, j2 in np.ndindex(n2, n2):
+                x = np.kron(unit(n1, i1, j1), unit(n2, i2, j2))
+                expected = np.kron(s1(unit(n1, i1, j1)), s2(unit(n2, i2, j2)))
+                assert np.array_equal(big(x), expected)
 
 
 def test_kron_on_product_matrices():
@@ -87,13 +83,14 @@ def test_embedding_factorizes_over_kron():
 
 
 def test_choi_factorizes_after_shuffle():
-    s1 = SuperOperator(ginibre(4))
-    s2 = SuperOperator(ginibre(4))
-    big = kron_superop(s1, s2)
-    perm = choi_shuffle_permutation(2, 2)
-    lhs = big.choi[np.ix_(perm, perm)]
-    rhs = np.kron(s1.choi, s2.choi)
-    assert np.abs(lhs - rhs).max() <= 1e-12
+    for n1, n2 in ((2, 2), (2, 3), (3, 2)):
+        s1 = SuperOperator(ginibre(n1 * n1))
+        s2 = SuperOperator(ginibre(n2 * n2))
+        big = kron_superop(s1, s2)
+        perm = choi_shuffle_permutation(n1, n2)
+        lhs = big.choi[np.ix_(perm, perm)]
+        rhs = np.kron(s1.choi, s2.choi)
+        assert np.abs(lhs - rhs).max() <= 1e-12
 
 
 def test_kron_state_is_product_state():
@@ -108,14 +105,6 @@ def test_kron_state_is_product_state():
 # lower bounds and divergence
 
 
-def test_tensor_norm_lower_bound_products():
-    assert tensor_norm_lower_bound([1.0, 1.0]) == 1.0
-    v = math.sqrt(1.5)
-    assert tensor_norm_lower_bound([v, v]) == pytest.approx(1.5, rel=1e-12)
-    with pytest.raises(ValueError):
-        tensor_norm_lower_bound([1.0, -0.5])
-
-
 def test_kron_estimate_dominates_factor_product():
     rng = np.random.default_rng(2)
     cfg = EstimatorConfig(restarts=4, max_iters=200, seed=2)
@@ -126,7 +115,7 @@ def test_kron_estimate_dominates_factor_product():
         e2 = build_embedded(qubit_map(c2v), qubit_state(c2v), p, theta)
         r1 = estimate_norm(e1.u_action, p, cfg)
         r2 = estimate_norm(e2.u_action, p, cfg)
-        product = tensor_norm_lower_bound([r1.value, r2.value])
+        product = r1.value * r2.value
         big = build_embedded(
             kron_superop(e1.base, e2.base), kron_state(e1.state, e2.state), p, theta
         )
@@ -153,35 +142,43 @@ def test_p2_norm_is_multiplicative():
 
 
 def test_divergence_table_flat_at_one():
-    table = divergence_table(1.0, 5)
-    assert all(bound == 1.0 for _, bound in table.rows)
-    assert table.first_exceeding(10.0) is None
+    # powers of a factor at or below 1 never pass a threshold above it
+    for per_factor in (0.0, 0.5, 1.0):
+        assert steps_to_exceed(per_factor, 10.0) is None
+        assert steps_to_exceed(per_factor, 1.0) is None
 
 
 def test_divergence_table_examples():
-    table = divergence_table(math.sqrt(1.5), 20)
-    assert table.first_exceeding(10.0) == 12
-    assert divergence_table(3.0, 5).first_exceeding(10.0) == 3
+    assert steps_to_exceed(math.sqrt(1.5), 10.0) == 12
+    assert steps_to_exceed(3.0, 10.0) == 3
 
 
 def test_divergence_table_strictly_increasing_above_one():
-    table = divergence_table(1.2247449, 30)
-    bounds = [b for _, b in table.rows]
-    assert all(hi > lo for lo, hi in zip(bounds, bounds[1:]))
+    # each count is the first power past the threshold, and larger
+    # thresholds need strictly more factors
+    counts = [steps_to_exceed(1.2247449, 10.0**k) for k in range(1, 8)]
+    assert all(hi > lo for lo, hi in zip(counts, counts[1:]))
+    for k, n in enumerate(counts, start=1):
+        assert 1.2247449 ** (n - 1) <= 10.0**k < 1.2247449**n
 
 
 def test_divergence_table_validation():
     with pytest.raises(ValueError):
-        divergence_table(-1.0, 5)
-    with pytest.raises(ValueError):
-        divergence_table(2.0, 0)
-    assert isinstance(divergence_table(2.0, 3), DivergenceTable)
+        steps_to_exceed(-1.0, 10.0)
 
 
 def test_steps_to_exceed():
-    assert steps_to_exceed(math.sqrt(1.5), 10.0) == 12
-    assert steps_to_exceed(3.0, 10.0) == 3
     assert steps_to_exceed(1.0, 10.0) is None
-    assert steps_to_exceed(1.0000001, 1e9, max_steps=10) is None
+    assert steps_to_exceed(2.0, math.inf) is None
+    assert steps_to_exceed(2.0, math.nan) is None
+    # thresholds below the factor are passed by the first power
+    assert steps_to_exceed(0.5, 0.1) == 1
+    assert steps_to_exceed(2.0, -1.0) == 1
     # overflow-safe for values that leave the float range quickly
     assert steps_to_exceed(1e200, 10.0) == 1
+    assert steps_to_exceed(1e200, 1e300) == 2
+    # closed form far past any loop budget, confirmed at n - 1 and n
+    per_factor = 1.0000001
+    n = steps_to_exceed(per_factor, 1e9)
+    assert n == math.ceil(math.log(1e9) / math.log(per_factor))
+    assert per_factor ** (n - 1) <= 1e9 < per_factor**n
