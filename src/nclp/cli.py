@@ -68,11 +68,13 @@ def decode_superop(obj) -> SuperOperator:
     if not isinstance(obj, dict):
         raise ValueError("superoperator must be an object with dim/kind/data")
     try:
-        dim = int(obj["dim"])
+        dim = obj["dim"]
         kind = obj["kind"]
         data = decode_matrix(obj["data"])
     except KeyError as exc:
         raise ValueError(f"superoperator is missing key {exc}") from exc
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"superoperator dim must be a positive integer, got {dim!r}")
     if data.shape != (dim * dim, dim * dim):
         raise ValueError(
             f"superoperator data must be {dim * dim}x{dim * dim}, got {data.shape}"
@@ -129,6 +131,8 @@ def phase_diagram_rows(
     with_family: bool,
 ) -> list[tuple[float, float, str, str, str]]:
     """Grid classification, one row per cell in (p, theta) order."""
+    if not all(math.isfinite(v) for v in (p_min, p_max, theta_step, p_step)):
+        raise ValueError("grid bounds and steps must be finite")
     if not (1.0 <= p_min <= p_max):
         raise ValueError(f"need 1 <= p_min <= p_max, got [{p_min}, {p_max}]")
     if not (theta_step > 0 and p_step > 0):

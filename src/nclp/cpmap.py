@@ -152,16 +152,14 @@ def _reshuffle(m: np.ndarray, n: int) -> np.ndarray:
     return np.transpose(m.reshape(n, n, n, n), (3, 1, 2, 0)).reshape(n * n, n * n)
 
 
-def is_completely_positive(t: SuperOperator, tol: float = CP_TOL) -> bool:
-    """Choi positivity test: Hermitian Choi with lambda_min >= -tol * scale."""
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
+def is_completely_positive(t: SuperOperator) -> bool:
+    """Choi positivity test: Hermitian Choi with lambda_min >= -CP_TOL * scale."""
     c = t.choi
     scale = max(1.0, np.abs(c).max())
-    if np.abs(c - c.conj().T).max() > tol * scale:
+    if np.abs(c - c.conj().T).max() > CP_TOL * scale:
         return False
     w = np.linalg.eigvalsh((c + c.conj().T) / 2.0)
-    return bool(w[0] >= -tol * max(1.0, w[-1]))
+    return bool(w[0] >= -CP_TOL * max(1.0, w[-1]))
 
 
 @dataclass(frozen=True)

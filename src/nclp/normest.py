@@ -19,6 +19,8 @@ from .matcore import dual_element, schatten_norm
 DEFAULT_SEED = 0xC0FFEE
 # Number of anti-diagonal probe witnesses used for 2x2 maps.
 ANTIDIAG_PROBES = 17
+# An ascent stops once one step changes the objective by at most this, relatively.
+REL_TOL = 1e-10
 _TINY = 1e-300
 
 
@@ -28,7 +30,6 @@ class EstimatorConfig:
 
     restarts: int = 32
     max_iters: int = 500
-    rel_tol: float = 1e-10
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
@@ -36,8 +37,6 @@ class EstimatorConfig:
             raise ValueError("restarts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -66,7 +65,6 @@ def dual_ascent(
     y0: np.ndarray,
     *,
     max_iters: int = 500,
-    rel_tol: float = 1e-10,
 ) -> AscentResult:
     """Run one monotone ascent from the unit-norm start ``y0``.
 
@@ -95,7 +93,7 @@ def dual_ascent(
         objectives.append(value_next)
         if value_next >= value:
             y, value = y_next, value_next
-        if abs(objectives[-1] - objectives[-2]) <= rel_tol * max(value, 1e-30):
+        if abs(objectives[-1] - objectives[-2]) <= REL_TOL * max(value, 1e-30):
             converged = True
             break
     return AscentResult(
@@ -172,10 +170,7 @@ def estimate_norm(
         _normalize(_ginibre(n, cfg.seed, k), p) for k in range(cfg.restarts)
     )
 
-    results = [
-        dual_ascent(u, p, y0, max_iters=cfg.max_iters, rel_tol=cfg.rel_tol)
-        for y0 in candidates
-    ]
+    results = [dual_ascent(u, p, y0, max_iters=cfg.max_iters) for y0 in candidates]
 
     best = results[0]
     for res in results[1:]:

@@ -29,8 +29,9 @@ from .cpmap import State, SuperOperator
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # The t-scan stays this far away from the degenerate endpoints c in {0, 1}.
 T_MARGIN = 1e-3
-DEFAULT_GRID_POINTS = 1000
-DEFAULT_REFINE_TOL = 1e-12
+# Coarse scan size and golden-section stopping width in t.
+GRID_POINTS = 1000
+REFINE_TOL = 1e-12
 
 
 def _check_c(c: float):
@@ -187,28 +188,22 @@ def _witness_at(c: float, p: float, theta: float) -> QubitWitness:
     )
 
 
-def family_max(
-    p: float,
-    theta: float,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> QubitWitness:
+def family_max(p: float, theta: float) -> QubitWitness:
     """Maximize m_closed over the family parameter.
 
-    Coarse scan of t = c - 1/2 over ``grid_points`` values in
+    Coarse scan of t = c - 1/2 over ``GRID_POINTS`` values in
     (-1/2 + margin, 1/2 - margin), then golden-section refinement around the
-    best grid cell down to ``refine_tol`` in t.
+    best grid cell down to ``REFINE_TOL`` in t.
     """
     if not (1.0 <= p < 2.0):
         raise ValueError(f"the family certifies norms for p in [1, 2), got {p}")
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    ts = np.linspace(-0.5 + T_MARGIN, 0.5 - T_MARGIN, grid_points)
+    ts = np.linspace(-0.5 + T_MARGIN, 0.5 - T_MARGIN, GRID_POINTS)
     values = _log_m_pow_p(0.5 + ts, p, theta)
     i = int(np.argmax(values))
     lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, grid_points - 1)]
+    hi = ts[min(i + 1, GRID_POINTS - 1)]
 
     def objective(t: float) -> float:
         return float(_log_m_pow_p(0.5 + t, p, theta))
@@ -217,7 +212,7 @@ def family_max(
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = objective(x1), objective(x2)
-    while hi - lo > refine_tol:
+    while hi - lo > REFINE_TOL:
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _INV_PHI * (hi - lo)
@@ -232,14 +227,7 @@ def family_max(
     return _witness_at(0.5 + t_best, p, theta)
 
 
-def find_counterexample(
-    p: float,
-    theta: float,
-    tol: float,
-    *,
-    grid_points: int = DEFAULT_GRID_POINTS,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> QubitWitness | None:
+def find_counterexample(p: float, theta: float, tol: float) -> QubitWitness | None:
     """Witness with m_value > 1 + tol if the family certifies one, else None.
 
     A None return means the family maximum over the scan stayed at or below
@@ -247,5 +235,5 @@ def find_counterexample(
     """
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    best = family_max(p, theta, grid_points=grid_points, refine_tol=refine_tol)
+    best = family_max(p, theta)
     return best if best.m_value > 1.0 + tol else None

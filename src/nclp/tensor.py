@@ -16,13 +16,11 @@ import numpy as np
 
 from .cpmap import State, SuperOperator
 
-# Building an n^2 x n^2 action matrix grows as dim^4; default guard.
+# Building an n^2 x n^2 action matrix grows as dim^4; largest composite allowed.
 MAX_KRON_DIM = 16
 
 
-def kron_superop(
-    s1: SuperOperator, s2: SuperOperator, *, max_dim: int = MAX_KRON_DIM
-) -> SuperOperator:
+def kron_superop(s1: SuperOperator, s2: SuperOperator) -> SuperOperator:
     """The map with (S1 kron S2)(X kron Y) = S1(X) kron S2(Y), extended linearly.
 
     Under column stacking an action-matrix index of M_n reads (col, row) in
@@ -31,11 +29,8 @@ def kron_superop(
     """
     n1, n2 = s1.dim, s2.dim
     n = n1 * n2
-    if n > max_dim:
-        raise ValueError(
-            f"composite dimension {n} exceeds max_dim={max_dim}; "
-            "pass a larger max_dim to override"
-        )
+    if n > MAX_KRON_DIM:
+        raise ValueError(f"composite dimension {n} exceeds MAX_KRON_DIM = {MAX_KRON_DIM}")
     action = (
         np.kron(s1.action_matrix, s2.action_matrix)
         .reshape((n1, n1, n2, n2) * 2)

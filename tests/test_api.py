@@ -1,7 +1,34 @@
+import ast
+import inspect
+
 import nclp
+from nclp import selfcheck
 
 
 def test_all_names_resolve_once():
     assert len(nclp.__all__) == len(set(nclp.__all__))
     missing = [name for name in nclp.__all__ if not hasattr(nclp, name)]
     assert missing == []
+
+
+def test_every_check_is_registered_once():
+    # the verify checks are the only copy of their properties, so a check
+    # missing from ALL_CHECKS would silently never run
+    defined = [
+        name
+        for name, fn in vars(selfcheck).items()
+        if name.startswith("check_") and inspect.isfunction(fn)
+    ]
+    assert sorted(fn.__name__ for fn in selfcheck.ALL_CHECKS) == sorted(defined)
+    # each check reports under one name of its own, read from its source so
+    # that no check has to run
+    names = []
+    for fn in selfcheck.ALL_CHECKS:
+        own = {
+            node.args[0].value
+            for node in ast.walk(ast.parse(inspect.getsource(fn)))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"
+        }
+        assert len(own) == 1, (fn.__name__, own)
+        names.extend(own)
+    assert len(names) == len(set(names))

@@ -67,6 +67,12 @@ def test_decode_superop_rejects_malformed():
         cli.decode_superop({"dim": 2, "kind": "kraus", "data": IDENTITY_MAP["data"]})
     with pytest.raises(ValueError):
         cli.decode_superop([[1, 2], [3, 4]])
+    # dim must be a JSON integer >= 1: no null, string, float or bool
+    for dim in (None, "2", 2.9, True, 0):
+        with pytest.raises(ValueError, match="dim"):
+            cli.decode_superop({"dim": dim, "kind": "action", "data": IDENTITY_MAP["data"]})
+    with pytest.raises(ValueError, match="dim"):
+        cli.decode_superop({"dim": True, "kind": "action", "data": [[1]]})
 
 
 def test_decode_state_accepts_bare_matrix_or_wrapper():
@@ -132,11 +138,13 @@ def test_phase_diagram_rejects_seed_flag():
 
 
 def test_phase_diagram_rejects_bad_range(capsys):
-    code = cli.main(
-        ["phase-diagram", "--p-min", "3", "--p-max", "2", "--p-step", "1", "--theta-step", "0.5"]
-    )
-    assert code == cli.EXIT_INVALID_INPUT
-    assert "error" in capsys.readouterr().err
+    for p_min, p_max in (("3", "2"), ("1", "inf")):
+        code = cli.main(
+            ["phase-diagram", "--p-min", p_min, "--p-max", p_max,
+             "--p-step", "1", "--theta-step", "0.5"]
+        )
+        assert code == cli.EXIT_INVALID_INPUT
+        assert "error" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from nclp.cpmap import (
     unvec,
     vec,
 )
-from nclp.matcore import frac_power
 from nclp.qubitfamily import qubit_map, qubit_state
 
 RNG = np.random.default_rng(20240812)
@@ -25,17 +24,6 @@ def random_state(n, rng=RNG):
     g = ginibre(n, rng)
     rho = g @ g.conj().T + 0.1 * np.eye(n)
     return State.from_matrix(rho / np.trace(rho).real)
-
-
-def random_cp(n, k=3, rng=RNG):
-    return SuperOperator.from_kraus([ginibre(n, rng) for _ in range(k)])
-
-
-def random_unital_cp(n, k=3, rng=RNG):
-    ops = [ginibre(n, rng) for _ in range(k)]
-    m = sum(a @ a.conj().T for a in ops)
-    w = frac_power(m, -0.5).matrix
-    return SuperOperator.from_kraus([w @ a for a in ops])
 
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -136,29 +124,24 @@ def test_choi_action_round_trip():
 
 @pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
 def test_qubit_map_is_cp(c):
-    assert is_completely_positive(qubit_map(c), 1e-10)
+    assert is_completely_positive(qubit_map(c))
 
 
 def test_transpose_map_is_not_cp():
     transpose = SuperOperator.from_map(lambda e: e.T.copy(), 2)
-    assert not is_completely_positive(transpose, 1e-10)
+    assert not is_completely_positive(transpose)
     # its Choi matrix is the swap, with eigenvalue -1
     w = np.linalg.eigvalsh(transpose.choi)
     assert w[0] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_identity_is_cp():
-    assert is_completely_positive(SuperOperator.identity(3), 1e-10)
+    assert is_completely_positive(SuperOperator.identity(3))
 
 
 def test_non_hermiticity_preserving_map_is_not_cp():
     t = SuperOperator(ginibre(4))
-    assert not is_completely_positive(t, 1e-10)
-
-
-def test_cp_tol_must_be_positive():
-    with pytest.raises(ValueError):
-        is_completely_positive(SuperOperator.identity(2), 0.0)
+    assert not is_completely_positive(t)
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +156,6 @@ def test_adjoint_of_identity():
 def test_adjoint_is_involution():
     t = SuperOperator(ginibre(9))
     assert np.abs(t.adjoint().adjoint().action_matrix - t.action_matrix).max() <= 1e-12
-
-
-def test_adjoint_duality_pairing():
-    for n in (2, 3):
-        t = SuperOperator(ginibre(n * n))
-        for _ in range(5):
-            x, y = ginibre(n), ginibre(n)
-            lhs = np.trace(y.conj().T @ t(x))
-            rhs = np.trace(t.adjoint()(y).conj().T @ x)
-            assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
 def test_qubit_adjoint_fixes_family_state():
@@ -231,39 +204,6 @@ def test_compatibility_state_preparation():
     assert rep.unital
     assert rep.c1 == pytest.approx(1.0, abs=1e-10)
     assert rep.completely_positive
-
-
-def test_c1_is_least_constant():
-    for n in (2, 3):
-        t = random_cp(n)
-        state = random_state(n)
-        c1 = compatibility(t, state).c1
-        gamma = state.gamma.matrix
-        tgam = t.adjoint()(gamma)
-
-        def lam_min(cc):
-            m = cc * gamma - tgam
-            return np.linalg.eigvalsh((m + m.conj().T) / 2)[0]
-
-        assert lam_min(c1 + 1e-10) >= -1e-10
-        assert lam_min(c1 - 1e-6) < 0.0
-
-
-def test_unital_cp_has_unit_cinf():
-    for n in (2, 3):
-        rep = compatibility(random_unital_cp(n), random_state(n))
-        assert rep.unital and rep.completely_positive
-        assert rep.c_inf == pytest.approx(1.0, abs=1e-10)
-
-
-def test_kadison_schwarz_for_unital_cp():
-    for n in (2, 3):
-        t = random_unital_cp(n)
-        for _ in range(5):
-            x = ginibre(n)
-            gap = t(x).conj().T @ t(x) - t(x.conj().T @ x)
-            lam_max = np.linalg.eigvalsh((gap + gap.conj().T) / 2)[-1]
-            assert lam_max <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from nclp.embed import (
     exact_norm_p2,
     upper_bound,
 )
-from nclp.normest import EstimatorConfig, estimate_norm
 from nclp.qubitfamily import delta, qubit_map, qubit_state
 
 RNG = np.random.default_rng(20240813)
@@ -207,16 +206,6 @@ def test_classify_region_threshold_value():
     assert classify_region(1.5, theta0).status is Status.UNKNOWN
 
 
-def test_classify_region_symmetry():
-    rng = np.random.default_rng(11)
-    for _ in range(100):
-        p = float(rng.uniform(1.0, 3.0))
-        theta = float(rng.uniform(0.0, 1.0))
-        a = classify_region(p, theta)
-        b = classify_region(p, 1.0 - theta)
-        assert a.status is b.status and a.source is b.source
-
-
 def test_classify_region_validates_input():
     with pytest.raises(ValueError):
         classify_region(0.5, 0.5)
@@ -231,34 +220,3 @@ def test_region_status_consistency_enforced():
         RegionStatus(Status.UNBOUNDED, Source.THM41)
     with pytest.raises(ValueError):
         RegionStatus(Status.UNKNOWN, Source.THM43)
-
-
-# ---------------------------------------------------------------------------
-# cross-module invariants
-
-
-def test_theta_symmetry_of_qubit_estimates():
-    cfg = EstimatorConfig(restarts=8, seed=5)
-    rng = np.random.default_rng(5)
-    for _ in range(3):
-        c = float(rng.uniform(0.2, 0.8))
-        p = float(rng.uniform(1.0, 2.0))
-        theta = float(rng.uniform(0.0, 1.0))
-        t, s = qubit_map(c), qubit_state(c)
-        v1 = estimate_norm(build_embedded(t, s, p, theta).u_action, p, cfg).value
-        v2 = estimate_norm(build_embedded(t, s, p, 1.0 - theta).u_action, p, cfg).value
-        assert abs(v1 - v2) <= 1e-6
-
-
-def test_half_theta_estimates_stay_contractive():
-    from nclp.cpmap import compatibility
-
-    rng = np.random.default_rng(6)
-    cfg = EstimatorConfig(restarts=8, seed=6)
-    for n, p in ((2, 1.0), (2, 1.6), (3, 2.5)):
-        t = SuperOperator.from_kraus([ginibre(n, rng) for _ in range(3)])
-        state = random_state(n, rng)
-        rep = compatibility(t, state)
-        t = (1.0 / max(rep.c1, rep.c_inf)) * t
-        emap = build_embedded(t, state, p, 0.5)
-        assert estimate_norm(emap.u_action, p, cfg).value <= 1.0 + 1e-8

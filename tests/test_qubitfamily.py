@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nclp.cpmap import is_completely_positive
-from nclp.embed import Status, classify_region
 from nclp.qubitfamily import (
     QubitWitness,
     alpha,
@@ -46,7 +45,7 @@ def test_qubit_state_rejects_endpoint(c):
 def test_qubit_map_unital_cp_state_preserving():
     for c in (0.1, 0.5, 0.9):
         t = qubit_map(c)
-        assert is_completely_positive(t, 1e-10)
+        assert is_completely_positive(t)
         assert np.abs(t(np.eye(2)) - np.eye(2)).max() < 1e-14
         gamma = qubit_state(c).gamma.matrix
         assert np.abs(t.adjoint()(gamma) - gamma).max() < 1e-14
@@ -118,14 +117,6 @@ def test_m_closed_specific_values():
     assert m_closed(0.9, 1.0, 0.0) == pytest.approx(3.0, abs=1e-10)
 
 
-def test_m_closed_baseline_is_exactly_one():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        p = float(rng.uniform(1.0, 2.0))
-        theta = float(rng.uniform(0.0, 1.0))
-        assert abs(m_closed(0.5, p, theta) - 1.0) <= 1e-14
-
-
 def test_m_closed_matches_family_value_at_optimum():
     rng = np.random.default_rng(3)
     for _ in range(25):
@@ -142,25 +133,6 @@ def test_m_closed_exceeds_one_near_threshold():
     assert value > 1.0
     a, b = optimal_ab(delta(0.51, 1.5, 0.0), 1.5)
     assert value == pytest.approx(family_value(0.51, 1.5, 0.0, a, b), rel=1e-12)
-
-
-def test_m_closed_symmetries_above_p1():
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        c = float(rng.uniform(0.05, 0.95))
-        p = float(rng.uniform(1.0001, 2.0))
-        theta = float(rng.uniform(0.0, 1.0))
-        m = m_closed(c, p, theta)
-        assert abs(m_closed(1.0 - c, p, theta) - m) <= 1e-12
-        assert abs(m_closed(c, p, 1.0 - theta) - m) <= 1e-12
-
-
-def test_m_closed_composed_symmetry_at_p1():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        c = float(rng.uniform(0.05, 0.95))
-        theta = float(rng.uniform(0.0, 1.0))
-        assert abs(m_closed(1.0 - c, 1.0, 1.0 - theta) - m_closed(c, 1.0, theta)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -216,50 +188,6 @@ def test_thresholds_structure():
         assert th.theta0 <= 0.5 <= th.theta1
     with pytest.raises(ValueError):
         theta_thresholds(2.5)
-
-
-def test_sign_law_matches_region_boundaries():
-    rng = np.random.default_rng(8)
-    for _ in range(200):
-        p = float(rng.uniform(1.000001, 2.0))
-        theta = float(rng.uniform(0.0, 1.0))
-        th = theta_thresholds(p)
-        outside = theta < th.theta0 or theta > th.theta1
-        assert (alpha(p, theta) > 0) == outside
-        if outside:
-            assert classify_region(p, theta).status is Status.UNBOUNDED
-
-
-# ---------------------------------------------------------------------------
-# Taylor expansions
-
-
-def test_taylor_quadratic_coefficient():
-    rng = np.random.default_rng(9)
-    step = 1e-4
-    done = 0
-    while done < 20:
-        p = float(rng.uniform(1.05, 1.95))
-        theta = float(rng.uniform(0.0, 1.0))
-        a = alpha(p, theta)
-        if abs(a) < 0.05:  # relative check is ill-posed where alpha vanishes
-            continue
-        done += 1
-        up = m_closed(0.5 + step, p, theta) ** p
-        down = m_closed(0.5 - step, p, theta) ** p
-        second = (up - 2.0 + down) / (2.0 * step * step)
-        assert abs(second - a) <= 1e-3 * abs(a)
-
-
-def test_taylor_first_order_at_p1():
-    rng = np.random.default_rng(10)
-    step = 1e-4
-    for _ in range(20):
-        theta = float(rng.uniform(0.0, 1.0))
-        fd = (m_closed(0.5 + step, 1.0, theta) - m_closed(0.5 - step, 1.0, theta)) / (
-            2.0 * step
-        )
-        assert abs(fd - alpha1(theta)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +246,3 @@ def test_find_counterexample_validates_input():
         find_counterexample(1.5, 0.5, 0.0)
     with pytest.raises(ValueError):
         find_counterexample(1.5, 1.5, 1e-6)
-
-
-def test_scan_config_overrides():
-    coarse = family_max(1.2, 0.05, grid_points=100, refine_tol=1e-6)
-    fine = family_max(1.2, 0.05)
-    assert fine.m_value >= coarse.m_value - 1e-9
