@@ -26,6 +26,9 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_VERIFY_FAILED = 3
 
+# Largest phase diagram, in cells; a larger grid is refused before any cell is built.
+MAX_GRID_CELLS = 10_000_000
+
 DIVERGENCE_THRESHOLD = 10.0
 
 
@@ -109,9 +112,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _grid(start: float, stop: float, step: float) -> list[float]:
-    count = int(math.floor((stop - start) / step + 1e-9))
-    return [start + k * step for k in range(count + 1)]
+def _grid_count(start: float, stop: float, step: float) -> float:
+    """Number of points start, start + step, ... <= stop; inf when it overflows."""
+    span = (stop - start) / step + 1e-9
+    return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
+
+
+def _grid(start: float, step: float, count: float) -> list[float]:
+    return [start + k * step for k in range(int(count))]
 
 
 def _diagram_cell(p: float, theta: float, with_family: bool):
@@ -137,10 +145,16 @@ def phase_diagram_rows(
         raise ValueError(f"need 1 <= p_min <= p_max, got [{p_min}, {p_max}]")
     if not (theta_step > 0 and p_step > 0):
         raise ValueError("grid steps must be positive")
+    p_count = _grid_count(p_min, p_max, p_step)
+    theta_count = _grid_count(0.0, 1.0, theta_step)
+    if p_count * theta_count > MAX_GRID_CELLS:
+        raise ValueError(
+            f"grid of {p_count:.3g} x {theta_count:.3g} cells exceeds {MAX_GRID_CELLS} cells"
+        )
     return [
         _diagram_cell(p, theta, with_family)
-        for p in _grid(p_min, p_max, p_step)
-        for theta in _grid(0.0, 1.0, theta_step)
+        for p in _grid(p_min, p_step, p_count)
+        for theta in _grid(0.0, theta_step, theta_count)
     ]
 
 

@@ -67,20 +67,36 @@ def dual_element(x, p: float) -> np.ndarray:
     """
     if not (p >= 1.0):
         raise ValueError(f"dual element requires p >= 1, got {p}")
-    m = _as_matrix(x)
-    u, s, vh = np.linalg.svd(m)
-    top = s[0]
-    if top == 0.0:
+    u, s, vh = np.linalg.svd(_as_matrix(x))
+    if s[0] == 0.0:
         raise ValueError("dual element of the zero matrix is undefined")
-    if p == 1.0:
-        support = s > SUPPORT_RTOL * top
-        return u[:, support] @ vh[support, :]
+    return _norm_and_dual(u, s, vh, p)[1]
+
+
+def _norm_and_dual(u, s, vh, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Schatten p-norms and dual elements of a stack, read from its SVD.
+
+    ``u, s, vh`` is ``np.linalg.svd`` of a stack of shape (..., n, n).  The
+    norms have shape (...), the dual elements (..., n, n); both follow the
+    formulas of :func:`schatten_norm` and :func:`dual_element` matrix by
+    matrix, so a matrix's result does not depend on the rest of the stack.
+    A zero matrix gets norm 0 and a zero dual element for p < inf.
+    """
+    top = s[..., 0]
     if math.isinf(p):
-        return np.outer(u[:, 0], vh[0, :])
-    # (sigma/sigma_max)^(p-1) * (sigma_max/||x||_p)^(p-1): both ratios <= 1.
-    weights = (s / top) ** (p - 1.0)
-    scale = (top / schatten_norm(m, p)) ** (p - 1.0)
-    return (u * (weights * scale)) @ vh
+        weights = np.zeros_like(s)
+        weights[..., 0] = 1.0
+        return top, (u * weights[..., None, :]) @ vh
+    # Scale by sigma_max so sigma^p cannot overflow for large p.
+    ratio = s / np.where(top == 0.0, 1.0, top)[..., None]
+    norms = top * np.sum(ratio**p, axis=-1) ** (1.0 / p)
+    if p == 1.0:
+        weights = (s > SUPPORT_RTOL * top[..., None]).astype(float)
+    else:
+        # (sigma/sigma_max)^(p-1) * (sigma_max/||x||_p)^(p-1): both ratios <= 1.
+        scale = (top / np.where(norms == 0.0, 1.0, norms)) ** (p - 1.0)
+        weights = ratio ** (p - 1.0) * scale[..., None]
+    return norms, (u * weights[..., None, :]) @ vh
 
 
 @dataclass(frozen=True)

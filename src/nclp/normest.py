@@ -3,7 +3,10 @@
 The estimator alternates between the norming element of U(Y) in the dual
 space and the norming element of the back-propagated direction U^+(Z); the
 objective ||U(Y)||_p is non-decreasing along the iteration, so every reported
-value is achieved by its witness and is therefore a sound lower bound.
+value is achieved by its witness and is therefore a sound lower bound.  All
+starts advance together as one (k, n, n) stack at two batched SVDs per
+iteration, and every step is taken matrix by matrix, so a start's result does
+not depend on the batch it runs in.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmap import SuperOperator
-from .matcore import dual_element, schatten_norm
+from .matcore import _as_matrix, _norm_and_dual, schatten_norm
 
 DEFAULT_SEED = 0xC0FFEE
 # Number of anti-diagonal probe witnesses used for 2x2 maps.
@@ -70,46 +73,119 @@ def dual_ascent(
 
     For p = 1 the dual steps use the fixed polar-factor / top-dyad
     subgradients, which keeps the objective non-decreasing but need not
-    converge; the best iterate is returned either way.
+    converge; the best iterate is returned either way.  This is the batch of
+    :func:`estimate_norm` with one start, so it returns bit for bit what that
+    start gets inside the batch.
     """
-    q = math.inf if p == 1.0 else p / (p - 1.0)
-    uadj = u.adjoint()
-    y = y0
-    value = schatten_norm(u(y), p)
-    objectives = [value]
-    converged = False
-    iterations = 0
-    for _ in range(max_iters):
-        uy = u(y)
-        if schatten_norm(uy, 2.0) < _TINY:
-            break
-        z = dual_element(uy, p)
-        w = uadj(z)
-        if schatten_norm(w, 2.0) < _TINY:
-            break
-        y_next = dual_element(w, q)
-        value_next = schatten_norm(u(y_next), p)
-        iterations += 1
-        objectives.append(value_next)
-        if value_next >= value:
-            y, value = y_next, value_next
-        if abs(objectives[-1] - objectives[-2]) <= REL_TOL * max(value, 1e-30):
-            converged = True
-            break
+    y = _as_matrix(y0)
+    if y.shape != (u.dim, u.dim):
+        raise ValueError(f"start must be {u.dim}x{u.dim}, got {y.shape}")
+    run = _ascend(u.action_matrix, p, y[None], max_iters)
     return AscentResult(
-        value=value,
-        witness=y,
-        iterations=iterations,
-        converged=converged,
-        objectives=tuple(objectives),
+        value=float(run.values[0]),
+        witness=run.witnesses[0],
+        iterations=int(run.iterations[0]),
+        converged=bool(run.converged[0]),
+        objectives=tuple(float(v) for v in run.objectives[: run.iterations[0] + 1, 0]),
     )
 
 
-def _normalize(y: np.ndarray, p: float) -> np.ndarray:
-    norm = schatten_norm(y, p)
-    if norm == 0.0:
+@dataclass(frozen=True)
+class _Batch:
+    """Per-start results of :func:`_ascend`, indexed like its starts.
+
+    Row t of ``objectives`` holds every start's objective after t steps,
+    rejected steps included; start i fills rows 0..iterations[i].
+    """
+
+    values: np.ndarray
+    witnesses: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    objectives: np.ndarray
+
+
+def _apply(action: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The map with n^2 x n^2 ``action`` applied to each matrix of a (k, n, n) stack.
+
+    One matrix-vector product per start, so no start's result depends on
+    the others.
+    """
+    k, n, _ = ys.shape
+    vecs = ys.transpose(0, 2, 1).reshape(k, n * n, 1)
+    return (action @ vecs).reshape(k, n, n).transpose(0, 2, 1)
+
+
+def _image(action: np.ndarray, ys: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
+    """sigma_max, Schatten p-norm and dual element of each matrix of the image stack.
+
+    One batched SVD of the map with n^2 x n^2 ``action`` applied to ``ys``.
+    """
+    u, s, vh = np.linalg.svd(_apply(action, ys))
+    return (s[:, 0], *_norm_and_dual(u, s, vh, p))
+
+
+def _ascend(action: np.ndarray, p: float, ys: np.ndarray, max_iters: int) -> _Batch:
+    """Monotone dual ascent from every unit-norm start of the (k, n, n) stack at once.
+
+    Each iteration takes the dual element Z of U(Y), steps to the q-dual
+    element of U^+(Z), and keeps the step when ||U(Y)||_p does not drop.
+    That costs one batched SVD of U^+(Z) and one of U(Y_next); the latter
+    also gives the next dual element.  A start retires when two consecutive
+    objectives differ by at most REL_TOL relative (converged) or when U(Y)
+    or U^+(Z) is numerically zero (not converged).
+    """
+    q = math.inf if p == 1.0 else p / (p - 1.0)
+    adjoint = action.conj().T
+    k = ys.shape[0]
+    ys = ys.copy()
+    tops, values, duals = _image(action, ys, p)
+    objectives = [values.copy()]
+    iterations = np.zeros(k, dtype=int)
+    converged = np.zeros(k, dtype=bool)
+    active = np.ones(k, dtype=bool)
+    for _ in range(max_iters):
+        active &= tops >= _TINY
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        w_tops, _, y_next = _image(adjoint, duals[idx], q)
+        live = w_tops >= _TINY
+        active[idx[~live]] = False
+        idx, y_next = idx[live], y_next[live]
+        if idx.size == 0:
+            break
+        tops_next, value_next, dual_next = _image(action, y_next, p)
+        iterations[idx] += 1
+        # every live start stepped in the previous iteration too
+        previous = objectives[-1][idx]
+        row = np.full(k, np.nan)
+        row[idx] = value_next
+        objectives.append(row)
+        accept = value_next >= values[idx]
+        take = idx[accept]
+        ys[take] = y_next[accept]
+        values[take] = value_next[accept]
+        duals[take] = dual_next[accept]
+        tops[take] = tops_next[accept]
+        done = np.abs(value_next - previous) <= REL_TOL * np.maximum(values[idx], 1e-30)
+        converged[idx[done]] = True
+        active[idx[done]] = False
+    return _Batch(
+        values=values,
+        witnesses=ys,
+        iterations=iterations,
+        converged=converged,
+        objectives=np.array(objectives),
+    )
+
+
+def _normalize(ys: np.ndarray, p: float) -> np.ndarray:
+    """Each matrix of a (k, n, n) stack scaled to unit p-norm, with one batched SVD."""
+    norms = _norm_and_dual(*np.linalg.svd(ys), p)[0]
+    if np.any(norms == 0.0):
         raise ValueError("cannot normalize the zero matrix")
-    return y / norm
+    return ys / norms[:, None, None]
 
 
 def _matrix_units(n: int) -> list[np.ndarray]:
@@ -143,6 +219,23 @@ def _ginibre(n: int, seed: int, index: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
 
+def _start_stack(n: int, p: float, cfg: EstimatorConfig, starts) -> np.ndarray:
+    """The (k, n, n) stack of unit-norm starts, in the order of :func:`estimate_norm`."""
+    stack = []
+    user = [_as_matrix(s) for s in starts]
+    if any(s.shape != (n, n) for s in user):
+        raise ValueError(f"every start must be {n}x{n}")
+    if user:
+        stack.extend(_normalize(np.stack(user), p))
+    stack.extend(_matrix_units(n))
+    if n == 2:
+        stack.extend(_antidiagonal_probes(p))
+    stack.extend(
+        _normalize(np.stack([_ginibre(n, cfg.seed, k) for k in range(cfg.restarts)]), p)
+    )
+    return np.stack(stack)
+
+
 def estimate_norm(
     u: SuperOperator,
     p: float,
@@ -154,34 +247,22 @@ def estimate_norm(
 
     Starts are, in order: caller-supplied ``starts`` (normalized), all matrix
     units, anti-diagonal probes when the map acts on M_2, then ``cfg.restarts``
-    Ginibre draws keyed by (cfg.seed, restart index).  Results are merged by
-    maximum value with the earliest start winning ties.
+    Ginibre draws keyed by (cfg.seed, restart index).  All of them ascend as
+    one batch; the earliest start with the maximum value wins.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
     if cfg is None:
         cfg = EstimatorConfig()
-    n = u.dim
-    candidates: list[np.ndarray] = [_normalize(np.asarray(s, dtype=complex), p) for s in starts]
-    candidates.extend(_matrix_units(n))
-    if n == 2:
-        candidates.extend(_antidiagonal_probes(p))
-    candidates.extend(
-        _normalize(_ginibre(n, cfg.seed, k), p) for k in range(cfg.restarts)
-    )
-
-    results = [dual_ascent(u, p, y0, max_iters=cfg.max_iters) for y0 in candidates]
-
-    best = results[0]
-    for res in results[1:]:
-        if res.value > best.value:
-            best = res
-    witness = _normalize(best.witness, p)
+    ys = _start_stack(u.dim, p, cfg, starts)
+    run = _ascend(u.action_matrix, p, ys, cfg.max_iters)
+    best = int(np.argmax(run.values))
+    witness = _normalize(run.witnesses[best:best + 1], p)[0]
     value = schatten_norm(u(witness), p)
     return NormEstimate(
         value=value,
         witness=witness,
-        iterations=best.iterations,
-        restarts_used=len(candidates),
-        converged=best.converged,
+        iterations=int(run.iterations[best]),
+        restarts_used=len(ys),
+        converged=bool(run.converged[best]),
     )

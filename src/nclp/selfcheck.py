@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import cli
+from . import cli, normest
 from .cpmap import State, SuperOperator, compatibility, is_completely_positive
 from .embed import (
     Status,
@@ -352,6 +352,43 @@ def check_determinism(seed: int) -> CheckResult:
     return CheckResult("normest.determinism", ok, f"values {[r.value for r in runs]!r}")
 
 
+def check_batch_determinism(seed: int) -> CheckResult:
+    # every start of an estimate_norm batch, rerun alone, must come out bit
+    # for bit the same: a start's result may not depend on its batch
+    rng = _rng(seed, 30)
+    cfg = EstimatorConfig(restarts=8, seed=seed)
+    starts = mismatched = 0
+    linked = True
+    for n in (2, 3, 4):
+        for p in (1.0, 1.5, 3.0):
+            emap = build_embedded(
+                _random_cp_map(rng, n), _random_state(rng, n), p, float(rng.uniform(0, 1))
+            )
+            u = emap.u_action
+            ys = normest._start_stack(n, p, cfg, ())
+            batch = normest._ascend(u.action_matrix, p, ys, cfg.max_iters)
+            est = estimate_norm(u, p, cfg)
+            best = int(np.argmax(batch.values))
+            linked = linked and (est.iterations, est.converged) == (
+                batch.iterations[best], batch.converged[best]
+            )
+            for i, y0 in enumerate(ys):
+                alone = dual_ascent(u, p, y0, max_iters=cfg.max_iters)
+                starts += 1
+                mismatched += not (
+                    alone.value == batch.values[i]
+                    and np.array_equal(alone.witness, batch.witnesses[i])
+                    and alone.iterations == batch.iterations[i]
+                    and alone.converged == batch.converged[i]
+                )
+    return CheckResult(
+        "normest.batch_determinism",
+        mismatched == 0 and linked,
+        f"{mismatched} of {starts} starts differ when run alone; "
+        f"estimate_norm reports its batch's best: {linked}",
+    )
+
+
 def check_homogeneity(seed: int) -> CheckResult:
     rng = _rng(seed, 18)
     cfg = EstimatorConfig(restarts=4, seed=seed)
@@ -601,6 +638,7 @@ ALL_CHECKS = (
     check_monotone_ascent,
     check_soundness_vs_upper_bound,
     check_determinism,
+    check_batch_determinism,
     check_homogeneity,
     check_family_consistency,
     check_family_symmetry,

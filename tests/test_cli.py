@@ -138,10 +138,13 @@ def test_phase_diagram_rejects_seed_flag():
 
 
 def test_phase_diagram_rejects_bad_range(capsys):
-    for p_min, p_max in (("3", "2"), ("1", "inf")):
+    # the last two grids are too large to build: 1e300 and overflowing cell counts
+    for p_min, p_max, p_step in (
+        ("3", "2", "1"), ("1", "inf", "1"), ("1", "2", "1e-300"), ("1", "2", "5e-324"),
+    ):
         code = cli.main(
             ["phase-diagram", "--p-min", p_min, "--p-max", p_max,
-             "--p-step", "1", "--theta-step", "0.5"]
+             "--p-step", p_step, "--theta-step", "0.5"]
         )
         assert code == cli.EXIT_INVALID_INPUT
         assert "error" in capsys.readouterr().err
