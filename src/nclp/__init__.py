@@ -34,7 +34,6 @@ from .matcore import (
 from .normest import (
     EstimatorConfig,
     NormEstimate,
-    dual_ascent,
     estimate_norm,
 )
 from .qubitfamily import (
@@ -80,7 +79,6 @@ __all__ = [
     "classify_region",
     "compatibility",
     "delta",
-    "dual_ascent",
     "dual_element",
     "estimate_norm",
     "exact_norm_p2",

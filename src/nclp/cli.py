@@ -187,6 +187,16 @@ def _write_output(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _write_json(obj, out_path: str | None):
+    """Write ``obj`` as indented JSON; NaN and infinities, which JSON has no
+    spelling for, raise ValueError before anything is written."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"report holds a non-finite number: {exc}") from exc
+    _write_output(text + "\n", out_path)
+
+
 def cmd_phase_diagram(args) -> int:
     csv_text = render_phase_diagram_csv(
         args.p_min, args.p_max, args.theta_step, args.p_step, with_family=args.with_family
@@ -222,7 +232,7 @@ def cmd_norm(args) -> int:
         "iterations": est.iterations,
         "restarts_used": est.restarts_used,
     }
-    _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+    _write_json(report, args.out)
     return EXIT_OK
 
 
@@ -247,7 +257,7 @@ def cmd_counterexample(args) -> int:
             "theta": witness.theta,
             "tensor_factors_to_exceed_10": steps_to_exceed(witness.m_value, DIVERGENCE_THRESHOLD),
         }
-    _write_output(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write_json(payload, args.out)
     return EXIT_OK
 
 
@@ -267,7 +277,7 @@ def cmd_verify(args) -> int:
         ],
     }
     if args.out:
-        _write_output(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        _write_json(report, args.out)
     if failed:
         print(json.dumps({"failures": failed}, sort_keys=True))
         return EXIT_VERIFY_FAILED

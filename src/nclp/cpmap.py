@@ -31,6 +31,11 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
+def _matrix_units(n: int) -> np.ndarray:
+    """The (n^2, n, n) stack of matrix units in vec order: entry i + n*j is E_ij."""
+    return np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
+
+
 @dataclass(frozen=True)
 class State:
     """Faithful state on M_n, represented by its density matrix."""
@@ -84,13 +89,8 @@ class SuperOperator:
     @classmethod
     def from_map(cls, fn, dim: int) -> "SuperOperator":
         """Build the action matrix by evaluating ``fn`` on all matrix units."""
-        k = np.zeros((dim * dim, dim * dim), dtype=complex)
-        for j in range(dim):
-            for i in range(dim):
-                e = np.zeros((dim, dim), dtype=complex)
-                e[i, j] = 1.0
-                k[:, i + dim * j] = vec(_as_matrix(fn(e)))
-        return cls(k)
+        columns = [vec(_as_matrix(fn(e.copy()))) for e in _matrix_units(dim)]
+        return cls(np.stack(columns, axis=1))
 
     @classmethod
     def from_kraus(cls, ops) -> "SuperOperator":

@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .cpmap import CompatibilityReport, State, SuperOperator
+from .qubitfamily import theta_thresholds
 
 
 class Status(Enum):
@@ -105,18 +106,12 @@ def upper_bound(
     Both results are applied only to maps certified completely positive (the
     Choi test certifies nothing weaker, and CP implies the 2-positivity that
     Thm 4.1 asks for): Thm 4.1 covers p >= 2 at any theta, the
-    Haagerup-Junge-Xu bound covers theta = 1/2 at any p.  Returns None when
-    neither applies.
+    Haagerup-Junge-Xu bound covers theta = 1/2 at any p.  These are the two
+    sources :func:`classify_region` assigns them.  Returns None when neither
+    applies.
     """
-    if not (1.0 <= p < math.inf):
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not rep.completely_positive:
-        return None
-    if p >= 2.0:
-        source = Source.THM41
-    elif theta == 0.5:
-        source = Source.HJX_HALF
-    else:
+    source = classify_region(p, theta).source
+    if not rep.completely_positive or source not in (Source.THM41, Source.HJX_HALF):
         return None
     return rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p), source
 
@@ -138,7 +133,7 @@ def classify_region(p: float, theta: float) -> RegionStatus:
         return RegionStatus(Status.BOUNDED, Source.HJX_HALF)
     if 1.0 - p / 2.0 <= theta <= p / 2.0:
         return RegionStatus(Status.BOUNDED, Source.THM43)
-    half_width = 0.5 * math.sqrt(p - 1.0)
-    if theta < 0.5 - half_width or theta > 0.5 + half_width:
+    th = theta_thresholds(p)
+    if theta < th.theta0 or theta > th.theta1:
         return RegionStatus(Status.UNBOUNDED, Source.THM61)
     return RegionStatus(Status.UNKNOWN, Source.NONE)

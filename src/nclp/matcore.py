@@ -46,14 +46,7 @@ def schatten_norm(x, p: float) -> float:
     """
     if not (p >= 1.0):
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
-    s = singular_values(x)
-    top = s[0]
-    if math.isinf(p):
-        return float(top)
-    if top == 0.0:
-        return 0.0
-    # Scale by sigma_max so sigma^p cannot overflow for large p.
-    return float(top * np.sum((s / top) ** p) ** (1.0 / p))
+    return float(_norms(singular_values(x), p))
 
 
 def dual_element(x, p: float) -> np.ndarray:
@@ -73,27 +66,41 @@ def dual_element(x, p: float) -> np.ndarray:
     return _norm_and_dual(u, s, vh, p)[1]
 
 
+def _norms(s, p: float) -> np.ndarray:
+    """Schatten p-norms of a stack, read from its singular values.
+
+    ``s`` holds the descending singular values of each matrix, shape (..., n);
+    the norms have shape (...), and a matrix's norm does not depend on the
+    rest of the stack.  A zero matrix gets norm 0.
+    """
+    top = s[..., 0]
+    if math.isinf(p):
+        return top
+    # Scale by sigma_max so sigma^p cannot overflow for large p.
+    ratio = s / np.where(top == 0.0, 1.0, top)[..., None]
+    return top * np.sum(ratio**p, axis=-1) ** (1.0 / p)
+
+
 def _norm_and_dual(u, s, vh, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Schatten p-norms and dual elements of a stack, read from its SVD.
 
     ``u, s, vh`` is ``np.linalg.svd`` of a stack of shape (..., n, n).  The
-    norms have shape (...), the dual elements (..., n, n); both follow the
-    formulas of :func:`schatten_norm` and :func:`dual_element` matrix by
-    matrix, so a matrix's result does not depend on the rest of the stack.
-    A zero matrix gets norm 0 and a zero dual element for p < inf.
+    norms are :func:`_norms`, the dual elements (..., n, n) follow the
+    formula of :func:`dual_element` matrix by matrix, so a matrix's result
+    does not depend on the rest of the stack.  A zero matrix gets a zero
+    dual element for p < inf.
     """
     top = s[..., 0]
+    norms = _norms(s, p)
     if math.isinf(p):
         weights = np.zeros_like(s)
         weights[..., 0] = 1.0
-        return top, (u * weights[..., None, :]) @ vh
-    # Scale by sigma_max so sigma^p cannot overflow for large p.
-    ratio = s / np.where(top == 0.0, 1.0, top)[..., None]
-    norms = top * np.sum(ratio**p, axis=-1) ** (1.0 / p)
+        return norms, (u * weights[..., None, :]) @ vh
     if p == 1.0:
         weights = (s > SUPPORT_RTOL * top[..., None]).astype(float)
     else:
         # (sigma/sigma_max)^(p-1) * (sigma_max/||x||_p)^(p-1): both ratios <= 1.
+        ratio = s / np.where(top == 0.0, 1.0, top)[..., None]
         scale = (top / np.where(norms == 0.0, 1.0, norms)) ** (p - 1.0)
         weights = ratio ** (p - 1.0) * scale[..., None]
     return norms, (u * weights[..., None, :]) @ vh

@@ -16,30 +16,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import SuperOperator
-from .matcore import _as_matrix, _norm_and_dual, schatten_norm
+from .cpmap import SuperOperator, _matrix_units
+from .matcore import _as_matrix, _norm_and_dual, _norms, schatten_norm
 
 DEFAULT_SEED = 0xC0FFEE
 # Number of anti-diagonal probe witnesses used for 2x2 maps.
 ANTIDIAG_PROBES = 17
 # An ascent stops once one step changes the objective by at most this, relatively.
 REL_TOL = 1e-10
+# An ascent that has not converged stops after this many steps.
+MAX_ITERS = 500
 _TINY = 1e-300
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Random-restart budget and stopping rule for the dual ascent."""
+    """Random-restart budget and seed of the dual ascent."""
 
     restarts: int = 32
-    max_iters: int = 500
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -54,55 +53,18 @@ class NormEstimate:
 
 
 @dataclass(frozen=True)
-class AscentResult:
-    value: float
-    witness: np.ndarray
-    iterations: int
-    converged: bool
-    objectives: tuple[float, ...]
-
-
-def dual_ascent(
-    u: SuperOperator,
-    p: float,
-    y0: np.ndarray,
-    *,
-    max_iters: int = 500,
-) -> AscentResult:
-    """Run one monotone ascent from the unit-norm start ``y0``.
-
-    For p = 1 the dual steps use the fixed polar-factor / top-dyad
-    subgradients, which keeps the objective non-decreasing but need not
-    converge; the best iterate is returned either way.  This is the batch of
-    :func:`estimate_norm` with one start, so it returns bit for bit what that
-    start gets inside the batch.
-    """
-    y = _as_matrix(y0)
-    if y.shape != (u.dim, u.dim):
-        raise ValueError(f"start must be {u.dim}x{u.dim}, got {y.shape}")
-    run = _ascend(u.action_matrix, p, y[None], max_iters)
-    return AscentResult(
-        value=float(run.values[0]),
-        witness=run.witnesses[0],
-        iterations=int(run.iterations[0]),
-        converged=bool(run.converged[0]),
-        objectives=tuple(float(v) for v in run.objectives[: run.iterations[0] + 1, 0]),
-    )
-
-
-@dataclass(frozen=True)
 class _Batch:
     """Per-start results of :func:`_ascend`, indexed like its starts.
 
-    Row t of ``objectives`` holds every start's objective after t steps,
-    rejected steps included; start i fills rows 0..iterations[i].
+    ``max_drop`` is the largest fall of the objective over one step, rejected
+    steps included (-inf for a start that never stepped).
     """
 
     values: np.ndarray
     witnesses: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-    objectives: np.ndarray
+    max_drop: np.ndarray
 
 
 def _apply(action: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -125,26 +87,30 @@ def _image(action: np.ndarray, ys: np.ndarray, p: float) -> tuple[np.ndarray, ..
     return (s[:, 0], *_norm_and_dual(u, s, vh, p))
 
 
-def _ascend(action: np.ndarray, p: float, ys: np.ndarray, max_iters: int) -> _Batch:
+def _ascend(action: np.ndarray, p: float, ys: np.ndarray) -> _Batch:
     """Monotone dual ascent from every unit-norm start of the (k, n, n) stack at once.
 
     Each iteration takes the dual element Z of U(Y), steps to the q-dual
     element of U^+(Z), and keeps the step when ||U(Y)||_p does not drop.
     That costs one batched SVD of U^+(Z) and one of U(Y_next); the latter
     also gives the next dual element.  A start retires when two consecutive
-    objectives differ by at most REL_TOL relative (converged) or when U(Y)
-    or U^+(Z) is numerically zero (not converged).
+    objectives differ by at most REL_TOL relative (converged), when U(Y)
+    or U^+(Z) is numerically zero (not converged), or after MAX_ITERS steps.
+    For p = 1 the dual steps use the fixed polar-factor / top-dyad
+    subgradients, which keeps the objective non-decreasing but need not
+    converge; the best iterate is kept either way.
     """
     q = math.inf if p == 1.0 else p / (p - 1.0)
     adjoint = action.conj().T
     k = ys.shape[0]
     ys = ys.copy()
     tops, values, duals = _image(action, ys, p)
-    objectives = [values.copy()]
+    last = values.copy()
+    max_drop = np.full(k, -math.inf)
     iterations = np.zeros(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     active = np.ones(k, dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         active &= tops >= _TINY
         idx = np.flatnonzero(active)
         if idx.size == 0:
@@ -157,11 +123,9 @@ def _ascend(action: np.ndarray, p: float, ys: np.ndarray, max_iters: int) -> _Ba
             break
         tops_next, value_next, dual_next = _image(action, y_next, p)
         iterations[idx] += 1
-        # every live start stepped in the previous iteration too
-        previous = objectives[-1][idx]
-        row = np.full(k, np.nan)
-        row[idx] = value_next
-        objectives.append(row)
+        previous = last[idx]
+        last[idx] = value_next
+        max_drop[idx] = np.maximum(max_drop[idx], previous - value_next)
         accept = value_next >= values[idx]
         take = idx[accept]
         ys[take] = y_next[accept]
@@ -176,26 +140,18 @@ def _ascend(action: np.ndarray, p: float, ys: np.ndarray, max_iters: int) -> _Ba
         witnesses=ys,
         iterations=iterations,
         converged=converged,
-        objectives=np.array(objectives),
+        max_drop=max_drop,
     )
 
 
 def _normalize(ys: np.ndarray, p: float) -> np.ndarray:
     """Each matrix of a (k, n, n) stack scaled to unit p-norm, with one batched SVD."""
-    norms = _norm_and_dual(*np.linalg.svd(ys), p)[0]
+    # the full SVD on purpose: the values-only LAPACK path can round the
+    # singular values differently, which would move every start
+    norms = _norms(np.linalg.svd(ys)[1], p)
     if np.any(norms == 0.0):
         raise ValueError("cannot normalize the zero matrix")
     return ys / norms[:, None, None]
-
-
-def _matrix_units(n: int) -> list[np.ndarray]:
-    units = []
-    for j in range(n):
-        for i in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            units.append(e)
-    return units
 
 
 def _antidiagonal_probes(p: float) -> list[np.ndarray]:
@@ -255,7 +211,7 @@ def estimate_norm(
     if cfg is None:
         cfg = EstimatorConfig()
     ys = _start_stack(u.dim, p, cfg, starts)
-    run = _ascend(u.action_matrix, p, ys, cfg.max_iters)
+    run = _ascend(u.action_matrix, p, ys)
     best = int(np.argmax(run.values))
     witness = _normalize(run.witnesses[best:best + 1], p)[0]
     value = schatten_norm(u(witness), p)

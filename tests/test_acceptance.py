@@ -130,7 +130,7 @@ def test_criterion_3_specific_values():
 
 def test_criterion_4_upper_bound_soundness():
     rng = np.random.default_rng(SEED + 4)
-    cfg = EstimatorConfig(restarts=2, max_iters=200, seed=SEED)
+    cfg = EstimatorConfig(restarts=2, seed=SEED)
     worst = -math.inf
     cases = 0
     missing = []
@@ -191,7 +191,7 @@ def test_criterion_5_p2_oracle_equivalence():
 
 def test_criterion_6_kron_lower_bounds():
     rng = np.random.default_rng(SEED + 6)
-    cfg = EstimatorConfig(restarts=2, max_iters=200, seed=SEED)
+    cfg = EstimatorConfig(restarts=2, seed=SEED)
     worst_gap = -math.inf
     worst_p2 = 0.0
     for _ in range(10):

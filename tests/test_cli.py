@@ -227,6 +227,17 @@ def test_norm_non_cp_map_reports_null_cinf(tmp_path):
     assert report["c1"] == pytest.approx(1.0, abs=1e-10)
 
 
+def test_norm_refuses_non_finite_report(tmp_path, capsys):
+    # finite entries, but the Hermitian part in compatibility overflows to NaN
+    huge = cli.encode_superop(SuperOperator(np.diag([1.0, 1.0, 1.0, 1e308])))
+    state = {"dim": 2, "data": cli.encode_matrix(qubit_state(0.3).gamma.matrix)}
+    with np.errstate(all="ignore"):
+        code, _ = run_norm(tmp_path, huge, state, ["--p", "1.5", "--theta", "0.2"])
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_norm_rejects_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -122,21 +122,12 @@ def test_choi_action_round_trip():
 # complete positivity
 
 
-@pytest.mark.parametrize("c", [0.1, 0.5, 0.9])
-def test_qubit_map_is_cp(c):
-    assert is_completely_positive(qubit_map(c))
-
-
 def test_transpose_map_is_not_cp():
     transpose = SuperOperator.from_map(lambda e: e.T.copy(), 2)
     assert not is_completely_positive(transpose)
     # its Choi matrix is the swap, with eigenvalue -1
     w = np.linalg.eigvalsh(transpose.choi)
     assert w[0] == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_identity_is_cp():
-    assert is_completely_positive(SuperOperator.identity(3))
 
 
 def test_non_hermiticity_preserving_map_is_not_cp():

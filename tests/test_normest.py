@@ -6,7 +6,7 @@ import pytest
 from nclp.cpmap import SuperOperator
 from nclp.embed import build_embedded
 from nclp.matcore import dual_element, schatten_norm
-from nclp.normest import EstimatorConfig, dual_ascent, estimate_norm
+from nclp.normest import EstimatorConfig, estimate_norm
 from nclp.qubitfamily import qubit_map, qubit_state
 
 RNG = np.random.default_rng(20240814)
@@ -55,16 +55,12 @@ def test_starts_must_match_the_map():
     with pytest.raises(ValueError):
         estimate_norm(t, 1.5, EstimatorConfig(restarts=1), starts=[np.eye(3)])
     with pytest.raises(ValueError):
-        dual_ascent(t, 1.5, np.eye(3))
-    with pytest.raises(ValueError):
         estimate_norm(t, 1.5, EstimatorConfig(restarts=1), starts=[np.zeros((2, 2))])
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         EstimatorConfig(restarts=0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(max_iters=0)
 
 
 # ---------------------------------------------------------------------------

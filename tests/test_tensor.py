@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from nclp.cpmap import SuperOperator
-from nclp.embed import build_embedded, exact_norm_p2
-from nclp.normest import EstimatorConfig, estimate_norm
+from nclp.embed import build_embedded
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.tensor import (
     choi_shuffle_permutation,
@@ -102,42 +101,6 @@ def test_kron_state_is_product_state():
 
 # ---------------------------------------------------------------------------
 # lower bounds and divergence
-
-
-def test_kron_estimate_dominates_factor_product():
-    rng = np.random.default_rng(2)
-    cfg = EstimatorConfig(restarts=4, max_iters=200, seed=2)
-    for p in (1.0, 1.5):
-        c1v, c2v = float(rng.uniform(0.2, 0.8)), float(rng.uniform(0.2, 0.8))
-        theta = float(rng.uniform(0.0, 1.0))
-        e1 = build_embedded(qubit_map(c1v), qubit_state(c1v), p, theta)
-        e2 = build_embedded(qubit_map(c2v), qubit_state(c2v), p, theta)
-        r1 = estimate_norm(e1.u_action, p, cfg)
-        r2 = estimate_norm(e2.u_action, p, cfg)
-        product = r1.value * r2.value
-        big = build_embedded(
-            kron_superop(e1.base, e2.base), kron_state(e1.state, e2.state), p, theta
-        )
-        est = estimate_norm(
-            big.u_action, p, cfg, starts=[np.kron(r1.witness, r2.witness)]
-        )
-        assert est.value >= product - 1e-6
-
-
-def test_p2_norm_is_multiplicative():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        theta = float(rng.uniform(0.0, 1.0))
-        t1 = SuperOperator(ginibre(4, rng) / 2)
-        c = float(rng.uniform(0.2, 0.8))
-        t2 = qubit_map(c)
-        s1 = qubit_state(float(rng.uniform(0.2, 0.8)))
-        s2 = qubit_state(c)
-        e1 = build_embedded(t1, s1, 2.0, theta)
-        e2 = build_embedded(t2, s2, 2.0, theta)
-        big = build_embedded(kron_superop(t1, t2), kron_state(s1, s2), 2.0, theta)
-        product = exact_norm_p2(e1) * exact_norm_p2(e2)
-        assert abs(exact_norm_p2(big) - product) <= 1e-10 * product
 
 
 def test_divergence_table_flat_at_one():
