@@ -24,13 +24,7 @@ from .embed import (
     exact_norm_p2,
     upper_bound,
 )
-from .matcore import (
-    PositiveMatrix,
-    dual_element,
-    frac_power,
-    schatten_norm,
-    singular_values,
-)
+from .matcore import PositiveMatrix, dual_element, schatten_norm
 from .normest import (
     EstimatorConfig,
     NormEstimate,
@@ -85,7 +79,6 @@ __all__ = [
     "family_max",
     "family_value",
     "find_counterexample",
-    "frac_power",
     "is_completely_positive",
     "kron_state",
     "kron_superop",
@@ -94,7 +87,6 @@ __all__ = [
     "qubit_map",
     "qubit_state",
     "schatten_norm",
-    "singular_values",
     "theta_thresholds",
     "upper_bound",
 ]

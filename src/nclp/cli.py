@@ -18,7 +18,7 @@ import numpy as np
 
 from .cpmap import State, SuperOperator, compatibility
 from .embed import build_embedded, classify_region, upper_bound
-from .normest import DEFAULT_SEED, EstimatorConfig, estimate_norm
+from .normest import DEFAULT_SEED, RESTARTS, EstimatorConfig, estimate_norm
 from .qubitfamily import family_max, find_counterexample
 from .tensor import steps_to_exceed
 
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     nm.add_argument("--state", required=True, help="density-matrix JSON path")
     nm.add_argument("--p", type=float, required=True)
     nm.add_argument("--theta", type=float, required=True)
-    nm.add_argument("--restarts", type=int, default=32)
+    nm.add_argument("--restarts", type=int, default=RESTARTS)
     nm.add_argument("--seed", type=int, default=DEFAULT_SEED)
     nm.add_argument("--out", help="output JSON path (default: stdout)")
     nm.set_defaults(func=cmd_norm)

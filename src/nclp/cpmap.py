@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import PositiveMatrix, _as_matrix, schatten_norm
+from .matcore import PositiveMatrix, _as_matrix, _hermitian_part, schatten_norm
 
 CP_TOL = 1e-10
 UNITAL_TOL = 1e-10
@@ -133,11 +133,6 @@ class SuperOperator:
         """Adjoint under the trace pairing <Y, T(X)> = tr(Y^* T(X))."""
         return SuperOperator(self.action_matrix.conj().T)
 
-    def __mul__(self, scalar) -> "SuperOperator":
-        return SuperOperator(self.action_matrix * complex(scalar))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"SuperOperator(dim={self.dim})"
 
@@ -158,7 +153,7 @@ def is_completely_positive(t: SuperOperator) -> bool:
     scale = max(1.0, np.abs(c).max())
     if np.abs(c - c.conj().T).max() > CP_TOL * scale:
         return False
-    w = np.linalg.eigvalsh((c + c.conj().T) / 2.0)
+    w = np.linalg.eigvalsh(_hermitian_part(c))
     return bool(w[0] >= -CP_TOL * max(1.0, w[-1]))
 
 
@@ -186,7 +181,12 @@ def compatibility(t: SuperOperator, state: State) -> CompatibilityReport:
     inv_sqrt = state.power(-0.5)
     tgam = t.adjoint()(gamma)
     w = inv_sqrt @ tgam @ inv_sqrt
-    c1 = float(np.linalg.eigvalsh((w + w.conj().T) / 2.0)[-1])
+    # an entry that overflowed leaves eigvalsh nothing sound to return (NaN,
+    # or a finite value below the true C1), so C1 is reported as inf
+    if np.all(np.isfinite(w)):
+        c1 = float(np.linalg.eigvalsh(_hermitian_part(w))[-1])
+    else:
+        c1 = math.inf
 
     eye = np.eye(t.dim, dtype=complex)
     t_of_i = t(eye)

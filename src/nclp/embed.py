@@ -19,6 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .cpmap import CompatibilityReport, State, SuperOperator
+from .matcore import schatten_norm
 from .qubitfamily import theta_thresholds
 
 
@@ -57,12 +58,9 @@ class RegionStatus:
 
 @dataclass(frozen=True)
 class EmbeddedMap:
-    """A map together with the state and exponents defining its embedding."""
+    """The embedded action of a map, with the exponent p it was built for."""
 
-    base: SuperOperator
-    state: State
     p: float
-    theta: float
     u_action: SuperOperator
 
 
@@ -85,9 +83,7 @@ def build_embedded(
     ai = state.power(-(1.0 - theta) / p)
     bi = state.power(-theta / p)
     action = np.kron(b.T, a) @ base.action_matrix @ np.kron(bi.T, ai)
-    return EmbeddedMap(
-        base=base, state=state, p=p, theta=theta, u_action=SuperOperator(action)
-    )
+    return EmbeddedMap(p=p, u_action=SuperOperator(action))
 
 
 def exact_norm_p2(emap: EmbeddedMap) -> float:
@@ -95,7 +91,7 @@ def exact_norm_p2(emap: EmbeddedMap) -> float:
     singular value of the n^2 x n^2 action matrix."""
     if emap.p != 2.0:
         raise ValueError(f"exact norm only available at p = 2, got p = {emap.p}")
-    return float(np.linalg.svd(emap.u_action.action_matrix, compute_uv=False)[0])
+    return schatten_norm(emap.u_action.action_matrix, math.inf)
 
 
 def upper_bound(

@@ -29,9 +29,10 @@ def _as_matrix(x) -> np.ndarray:
     return m
 
 
-def singular_values(x) -> np.ndarray:
-    """Singular values of ``x`` in descending order."""
-    return np.linalg.svd(_as_matrix(x), compute_uv=False)
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^*) / 2, halved before the sum so entries near the float limit
+    cannot overflow; halving is exact, so a finite result keeps its bits."""
+    return m / 2.0 + m.conj().T / 2.0
 
 
 def schatten_norm(x, p: float) -> float:
@@ -46,7 +47,7 @@ def schatten_norm(x, p: float) -> float:
     """
     if not (p >= 1.0):
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
-    return float(_norms(singular_values(x), p))
+    return float(_norms(np.linalg.svd(_as_matrix(x), compute_uv=False), p))
 
 
 def dual_element(x, p: float) -> np.ndarray:
@@ -131,7 +132,7 @@ class PositiveMatrix:
                 f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
                 f"{HERMITICITY_RTOL:g} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
             )
-        herm = (m + m.conj().T) / 2.0
+        herm = _hermitian_part(m)
         w, v = np.linalg.eigh(herm)
         w, v = w[::-1].copy(), v[:, ::-1].copy()  # descending
         lam_max = max(w[0], 0.0)
@@ -162,16 +163,10 @@ class PositiveMatrix:
         if s < 0:  # powers of a descending spectrum come out ascending
             ws, v = ws[::-1].copy(), v[:, ::-1].copy()
         mat = (v * ws) @ v.conj().T
-        mat = (mat + mat.conj().T) / 2.0
+        mat = _hermitian_part(mat)
         ws.setflags(write=False)
         v = v.copy()
         v.setflags(write=False)
         mat.setflags(write=False)
         return PositiveMatrix(matrix=mat, eigenvalues=ws, eigenvectors=v)
 
-
-def frac_power(p: PositiveMatrix | np.ndarray, s: float) -> PositiveMatrix:
-    """``p**s`` for a positive matrix; negative powers require invertibility."""
-    if not isinstance(p, PositiveMatrix):
-        p = PositiveMatrix.from_matrix(p)
-    return p.power(s)

@@ -20,6 +20,8 @@ from .cpmap import SuperOperator, _matrix_units
 from .matcore import _as_matrix, _norm_and_dual, _norms, schatten_norm
 
 DEFAULT_SEED = 0xC0FFEE
+# Ginibre restarts per estimate unless the caller asks for another number.
+RESTARTS = 32
 # Number of anti-diagonal probe witnesses used for 2x2 maps.
 ANTIDIAG_PROBES = 17
 # An ascent stops once one step changes the objective by at most this, relatively.
@@ -33,7 +35,7 @@ _TINY = 1e-300
 class EstimatorConfig:
     """Random-restart budget and seed of the dual ascent."""
 
-    restarts: int = 32
+    restarts: int = RESTARTS
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):

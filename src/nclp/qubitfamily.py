@@ -170,9 +170,6 @@ class QubitWitness:
     p: float
     theta: float
 
-    def witness_matrix(self) -> np.ndarray:
-        return np.array([[0.0, self.a], [self.b, 0.0]], dtype=complex)
-
 
 def _witness_at(c: float, p: float, theta: float) -> QubitWitness:
     d = delta(c, p, theta)

@@ -18,10 +18,10 @@ import pathlib
 
 import numpy as np
 
-from nclp.cpmap import State, SuperOperator
+from nclp.cpmap import SuperOperator
 from nclp.embed import build_embedded
-from nclp.matcore import frac_power
 from nclp.normest import estimate_norm
+from nclp.selfcheck import _ginibre, _random_cp_map, _random_state, _random_unital_cp_map
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("golden_norms.json")
 GOLDEN_SEED = 20260401
@@ -32,19 +32,12 @@ THETAS = (0.0, 0.25, 0.5, 0.75, 1.0)
 CASES = 60
 
 
-def _ginibre(rng, n: int) -> np.ndarray:
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
 def _random_map(rng, n: int, kind: str) -> SuperOperator:
     if kind == "non_cp":
         return SuperOperator(_ginibre(rng, n * n) / n)
-    ops = [_ginibre(rng, n) for _ in range(3)]
     if kind == "unital_cp":
-        m = sum(a @ a.conj().T for a in ops)
-        inv_sqrt = frac_power(m, -0.5).matrix
-        ops = [inv_sqrt @ a for a in ops]
-    return SuperOperator.from_kraus(ops)
+        return _random_unital_cp_map(rng, n)
+    return _random_cp_map(rng, n)
 
 
 def embedded_action(case: dict) -> SuperOperator:
@@ -52,10 +45,7 @@ def embedded_action(case: dict) -> SuperOperator:
     rng = np.random.default_rng([GOLDEN_SEED, case["index"]])
     n = case["n"]
     t = _random_map(rng, n, case["kind"])
-    g = _ginibre(rng, n)
-    rho = g @ g.conj().T + 0.1 * np.eye(n)
-    state = State.from_matrix(rho / np.trace(rho).real)
-    return build_embedded(t, state, case["p"], case["theta"]).u_action
+    return build_embedded(t, _random_state(rng, n), case["p"], case["theta"]).u_action
 
 
 def case_list() -> list[dict]:

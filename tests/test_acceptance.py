@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nclp import cli, selfcheck
-from nclp.cpmap import State, SuperOperator, compatibility
+from nclp.cpmap import SuperOperator, compatibility
 from nclp.embed import build_embedded, exact_norm_p2, upper_bound
 from nclp.normest import EstimatorConfig, estimate_norm
 from nclp.qubitfamily import (
@@ -22,6 +22,7 @@ from nclp.qubitfamily import (
     qubit_state,
     theta_thresholds,
 )
+from nclp.selfcheck import _ginibre, _random_cp_map, _random_state
 from nclp.tensor import kron_state, kron_superop, steps_to_exceed
 
 SEED = 0xC0FFEE
@@ -30,20 +31,6 @@ SEED = 0xC0FFEE
 def _report(num: int, ok: bool, detail: str):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {num} failed: {detail}"
-
-
-def _ginibre(rng, n):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def _random_state(rng, n):
-    g = _ginibre(rng, n)
-    rho = g @ g.conj().T + 0.1 * np.eye(n)
-    return State.from_matrix(rho / np.trace(rho).real)
-
-
-def _random_cp(rng, n):
-    return SuperOperator.from_kraus([_ginibre(rng, n) for _ in range(3)])
 
 
 def test_criterion_1_threshold_reproduction():
@@ -136,7 +123,7 @@ def test_criterion_4_upper_bound_soundness():
     missing = []
     for n in (2, 3):
         for _ in range(25):
-            t = _random_cp(rng, n)
+            t = _random_cp_map(rng, n)
             state = _random_state(rng, n)
             rep = compatibility(t, state)
             combos = [(p, th) for p in (2.0, 2.5, 3.0, 5.0) for th in (0.0, 0.3, 0.7, 1.0)]

@@ -12,14 +12,6 @@ def test_all_names_resolve_once():
 
 
 def test_every_check_is_registered_once():
-    # the verify checks are the only copy of their properties, so a check
-    # missing from ALL_CHECKS would silently never run
-    defined = [
-        name
-        for name, fn in vars(selfcheck).items()
-        if name.startswith("check_") and inspect.isfunction(fn)
-    ]
-    assert sorted(fn.__name__ for fn in selfcheck.ALL_CHECKS) == sorted(defined)
     # each check reports under one name of its own, read from its source so
     # that no check has to run
     names = []

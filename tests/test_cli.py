@@ -228,11 +228,14 @@ def test_norm_non_cp_map_reports_null_cinf(tmp_path):
 
 
 def test_norm_refuses_non_finite_report(tmp_path, capsys):
-    # finite entries, but the Hermitian part in compatibility overflows to NaN
-    huge = cli.encode_superop(SuperOperator(np.diag([1.0, 1.0, 1.0, 1e308])))
+    # T(X) = 1e308 X_22 E_11 has finite entries, but its C1 = 0.7e308 / 0.3
+    # overflows; a finite c1 here would put the upper bound below the lower
+    action = np.zeros((4, 4))
+    action[0, 3] = 1e308
+    huge = cli.encode_superop(SuperOperator(action))
     state = {"dim": 2, "data": cli.encode_matrix(qubit_state(0.3).gamma.matrix)}
     with np.errstate(all="ignore"):
-        code, _ = run_norm(tmp_path, huge, state, ["--p", "1.5", "--theta", "0.2"])
+        code, _ = run_norm(tmp_path, huge, state, ["--p", "2", "--theta", "0.3"])
     assert code == cli.EXIT_INVALID_INPUT
     assert "non-finite" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()

@@ -12,18 +12,9 @@ from nclp.cpmap import (
     vec,
 )
 from nclp.qubitfamily import qubit_map, qubit_state
+from nclp.selfcheck import _ginibre, _random_state
 
 RNG = np.random.default_rng(20240812)
-
-
-def ginibre(n, rng=RNG):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_state(n, rng=RNG):
-    g = ginibre(n, rng)
-    rho = g @ g.conj().T + 0.1 * np.eye(n)
-    return State.from_matrix(rho / np.trace(rho).real)
 
 
 E11 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -44,7 +35,7 @@ def test_vec_convention_is_column_stacking():
 
 def test_identity_superoperator():
     t = SuperOperator.identity(3)
-    x = ginibre(3)
+    x = _ginibre(RNG, 3)
     assert np.abs(t(x) - x).max() == 0.0
 
 
@@ -65,8 +56,8 @@ def test_apply_dimension_mismatch():
 
 
 def test_linearity_from_action_matrix():
-    t = SuperOperator(ginibre(9))
-    x, y = ginibre(3), ginibre(3)
+    t = SuperOperator(_ginibre(RNG, 9))
+    x, y = _ginibre(RNG, 3), _ginibre(RNG, 3)
     assert np.abs(t(2 * x + 1j * y) - (2 * t(x) + 1j * t(y))).max() < 1e-12
 
 
@@ -102,7 +93,7 @@ def test_choi_of_qubit_map_matches_block_layout():
 
 def test_choi_blocks_are_map_values():
     n = 3
-    t = SuperOperator(ginibre(n * n))
+    t = SuperOperator(_ginibre(RNG, n * n))
     c = t.choi
     for i in range(n):
         for j in range(n):
@@ -113,7 +104,7 @@ def test_choi_blocks_are_map_values():
 
 
 def test_choi_action_round_trip():
-    t = SuperOperator(ginibre(4))
+    t = SuperOperator(_ginibre(RNG, 4))
     back = SuperOperator.from_choi(t.choi)
     assert np.abs(back.action_matrix - t.action_matrix).max() < 1e-13
 
@@ -131,7 +122,7 @@ def test_transpose_map_is_not_cp():
 
 
 def test_non_hermiticity_preserving_map_is_not_cp():
-    t = SuperOperator(ginibre(4))
+    t = SuperOperator(_ginibre(RNG, 4))
     assert not is_completely_positive(t)
 
 
@@ -145,7 +136,7 @@ def test_adjoint_of_identity():
 
 
 def test_adjoint_is_involution():
-    t = SuperOperator(ginibre(9))
+    t = SuperOperator(_ginibre(RNG, 9))
     assert np.abs(t.adjoint().adjoint().action_matrix - t.action_matrix).max() <= 1e-12
 
 
@@ -169,7 +160,7 @@ def test_compatibility_qubit_family():
 
 
 def test_compatibility_scaled_identity():
-    rep = compatibility(2.0 * SuperOperator.identity(2), random_state(2))
+    rep = compatibility(SuperOperator(2.0 * np.eye(4)), _random_state(RNG, 2))
     assert rep.c1 == pytest.approx(2.0, abs=1e-10)
     assert rep.c_inf == pytest.approx(2.0, abs=1e-10)
     assert not rep.unital
@@ -183,6 +174,25 @@ def test_compatibility_non_cp_has_no_cinf():
     assert rep.c_inf is None
     assert rep.unital
     assert rep.c1 == pytest.approx(1.0, abs=1e-12)
+
+
+def test_compatibility_near_the_float_limit():
+    # a PSD Choi matrix with an entry of 1e308: its Hermitian part must not
+    # overflow, or the map reads non-CP and C1 reads NaN
+    t = SuperOperator(np.diag([1.0, 1.0, 1.0, 1e308]))
+    rep = compatibility(t, qubit_state(0.3))
+    assert rep.completely_positive
+    assert rep.c1 == pytest.approx(1e308, rel=1e-12)
+    assert rep.c_inf == pytest.approx(1e308, rel=1e-12)
+
+
+def test_compatibility_reports_overflowing_c1_as_inf():
+    # T(X) = 1e308 X_22 E_11: the true C1 = 0.7e308 / 0.3 exceeds the float range
+    action = np.zeros((4, 4))
+    action[0, 3] = 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = compatibility(SuperOperator(action), qubit_state(0.3))
+    assert rep.c1 == math.inf
 
 
 def test_compatibility_state_preparation():
@@ -209,6 +219,11 @@ def test_state_requires_unit_trace():
 def test_state_requires_faithfulness():
     with pytest.raises(ValueError):
         State.from_matrix(np.diag([1.0, 0.0]))
+
+
+def test_state_requires_positivity_near_the_float_limit():
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        State.from_matrix([[0.5, 1e308], [1e308, 0.5]])
 
 
 def test_state_accepts_qubit_family():

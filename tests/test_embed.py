@@ -14,6 +14,7 @@ from nclp.embed import (
     upper_bound,
 )
 from nclp.qubitfamily import delta, qubit_map, qubit_state
+from nclp.selfcheck import _ginibre, _random_state
 
 RNG = np.random.default_rng(20240813)
 
@@ -21,22 +22,12 @@ E12 = np.array([[0, 1], [0, 0]], dtype=complex)
 E21 = E12.T.copy()
 
 
-def ginibre(n, rng=RNG):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_state(n, rng=RNG):
-    g = ginibre(n, rng)
-    rho = g @ g.conj().T + 0.1 * np.eye(n)
-    return State.from_matrix(rho / np.trace(rho).real)
-
-
 # ---------------------------------------------------------------------------
 # build_embedded
 
 
 def test_identity_embeds_to_identity():
-    emap = build_embedded(SuperOperator.identity(3), random_state(3), 1.7, 0.3)
+    emap = build_embedded(SuperOperator.identity(3), _random_state(RNG, 3), 1.7, 0.3)
     assert np.abs(emap.u_action.action_matrix - np.eye(9)).max() <= 1e-12
 
 
@@ -51,8 +42,8 @@ def test_qubit_antidiagonal_action(p, theta):
 
 
 def test_embedded_action_matches_direct_sandwich_on_units():
-    t = SuperOperator(ginibre(9))
-    state = random_state(3)
+    t = SuperOperator(_ginibre(RNG, 9))
+    state = _random_state(RNG, 3)
     p, theta = 1.4, 0.7
     emap = build_embedded(t, state, p, theta)
     a = state.power((1 - theta) / p)
@@ -85,7 +76,7 @@ def test_build_embedded_validates_arguments():
 
 
 def test_exact_norm_p2_identity():
-    emap = build_embedded(SuperOperator.identity(2), random_state(2), 2.0, 0.4)
+    emap = build_embedded(SuperOperator.identity(2), _random_state(RNG, 2), 2.0, 0.4)
     assert exact_norm_p2(emap) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -99,10 +90,10 @@ def test_exact_norm_p2_qubit_family_is_one():
 
 
 def test_exact_norm_p2_scales_homogeneously():
-    t = SuperOperator(ginibre(4))
-    state = random_state(2)
+    t = SuperOperator(_ginibre(RNG, 4))
+    state = _random_state(RNG, 2)
     base = exact_norm_p2(build_embedded(t, state, 2.0, 0.6))
-    scaled = exact_norm_p2(build_embedded(3.0 * t, state, 2.0, 0.6))
+    scaled = exact_norm_p2(build_embedded(SuperOperator(3.0 * t.action_matrix), state, 2.0, 0.6))
     assert scaled == pytest.approx(3.0 * base, rel=1e-12)
 
 
@@ -124,7 +115,7 @@ def test_upper_bound_for_state_preserving_unital_cp():
 
 
 def test_upper_bound_scaled_identity():
-    rep = compatibility(2.0 * SuperOperator.identity(2), random_state(2))
+    rep = compatibility(SuperOperator(2.0 * np.eye(4)), _random_state(RNG, 2))
     value, _ = upper_bound(rep, 2.0, 0.3)
     assert value == pytest.approx(2.0, abs=1e-10)
 

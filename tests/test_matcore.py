@@ -3,24 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nclp.matcore import (
-    PositiveMatrix,
-    dual_element,
-    frac_power,
-    schatten_norm,
-    singular_values,
-)
+from nclp.matcore import PositiveMatrix, dual_element, schatten_norm
+from nclp.selfcheck import _ginibre, _random_unitary
 
 RNG = np.random.default_rng(20240811)
-
-
-def ginibre(n, rng=RNG):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-def random_unitary(n, rng=RNG):
-    q, r = np.linalg.qr(ginibre(n, rng))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 # ---------------------------------------------------------------------------
@@ -60,11 +46,6 @@ def test_schatten_norm_large_p_no_overflow():
     assert schatten_norm(x, 800.0) == pytest.approx(2.0, rel=1e-10)
 
 
-def test_singular_values_descending():
-    s = singular_values(ginibre(5))
-    assert np.all(np.diff(s) <= 0)
-
-
 # ---------------------------------------------------------------------------
 # dual_element
 
@@ -78,7 +59,7 @@ def test_dual_element_p2_is_normalized_matrix():
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
 def test_dual_element_unitary_input(p):
     n = 3
-    u = random_unitary(n)
+    u = _random_unitary(RNG, n)
     q = p / (p - 1.0)
     z = dual_element(u, p)
     assert np.abs(z - u / n ** (1.0 / q)).max() < 1e-12
@@ -109,28 +90,29 @@ def test_dual_element_rejects_zero():
 
 
 # ---------------------------------------------------------------------------
-# frac_power / PositiveMatrix
+# PositiveMatrix.power
 
 
 def test_frac_power_examples():
-    half = frac_power(np.diag([0.36, 0.64]), 0.5).matrix
+    half = PositiveMatrix.from_matrix(np.diag([0.36, 0.64])).power(0.5).matrix
     assert np.abs(half - np.diag([0.6, 0.8])).max() < 1e-12
 
-    g = ginibre(3)
+    g = _ginibre(RNG, 3)
     pm = PositiveMatrix.from_matrix(g @ g.conj().T)
-    assert np.abs(frac_power(pm, 0.0).matrix - np.eye(3)).max() < 1e-12
+    assert np.abs(pm.power(0.0).matrix - np.eye(3)).max() < 1e-12
 
     c = 0.6
-    inv = frac_power(np.diag([1 - c, c]), -1.0).matrix
+    inv = PositiveMatrix.from_matrix(np.diag([1 - c, c])).power(-1.0).matrix
     assert np.abs(inv - np.diag([2.5, 5.0 / 3.0])).max() < 1e-12
 
 
 def test_frac_power_negative_power_of_singular_raises():
     singular = np.diag([1.0, 0.0]).astype(complex)
+    pm = PositiveMatrix.from_matrix(singular)
     with pytest.raises(np.linalg.LinAlgError):
-        frac_power(singular, -0.5)
+        pm.power(-0.5)
     # non-negative powers of singular matrices are fine
-    assert np.abs(frac_power(singular, 0.5).matrix - singular).max() < 1e-12
+    assert np.abs(pm.power(0.5).matrix - singular).max() < 1e-12
 
 
 def test_positive_matrix_rejects_asymmetric():
@@ -150,7 +132,7 @@ def test_positive_matrix_rejects_negative_spectrum():
 
 
 def test_positive_matrix_clips_roundoff_negatives():
-    u = random_unitary(3)
+    u = _random_unitary(RNG, 3)
     w = np.array([1.0, 0.5, -1e-14])
     pm = PositiveMatrix.from_matrix((u * w) @ u.conj().T)
     assert pm.eigenvalues.min() >= 0.0
@@ -158,7 +140,7 @@ def test_positive_matrix_clips_roundoff_negatives():
 
 
 def test_positive_matrix_reconstruction():
-    g = ginibre(4)
+    g = _ginibre(RNG, 4)
     pm = PositiveMatrix.from_matrix(g @ g.conj().T)
     rebuilt = (pm.eigenvectors * pm.eigenvalues) @ pm.eigenvectors.conj().T
     err = np.linalg.norm(rebuilt - pm.matrix) / np.linalg.norm(pm.matrix)
@@ -170,7 +152,7 @@ def test_positive_matrix_reconstruction():
 
 
 def test_kron_identity_and_diagonal():
-    x = ginibre(3)
+    x = _ginibre(RNG, 3)
     assert np.abs(np.kron(x, np.eye(1)) - x).max() == 0.0
     out = np.kron(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))
     assert np.abs(out - np.diag([3.0, 4.0, 6.0, 8.0])).max() < 1e-14
@@ -178,7 +160,7 @@ def test_kron_identity_and_diagonal():
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, math.inf])
 def test_kron_norm_multiplicative(p):
-    x, y = ginibre(2), ginibre(2)
+    x, y = _ginibre(RNG, 2), _ginibre(RNG, 2)
     lhs = schatten_norm(np.kron(x, y), p)
     rhs = schatten_norm(x, p) * schatten_norm(y, p)
     assert lhs == pytest.approx(rhs, rel=1e-12)

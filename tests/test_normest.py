@@ -8,12 +8,9 @@ from nclp.embed import build_embedded
 from nclp.matcore import dual_element, schatten_norm
 from nclp.normest import EstimatorConfig, estimate_norm
 from nclp.qubitfamily import qubit_map, qubit_state
+from nclp.selfcheck import _ginibre
 
 RNG = np.random.default_rng(20240814)
-
-
-def ginibre(n, rng=RNG):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +65,7 @@ def test_config_validation():
 
 
 def test_gradient_p2_is_normalized_input():
-    y = ginibre(3)
+    y = _ginibre(RNG, 3)
     g = dual_element(y, 2.0)
     assert np.abs(g - y / schatten_norm(y, 2.0)).max() < 1e-12
 

@@ -6,6 +6,7 @@ import pytest
 from nclp.cpmap import SuperOperator
 from nclp.embed import build_embedded
 from nclp.qubitfamily import qubit_map, qubit_state
+from nclp.selfcheck import _ginibre
 from nclp.tensor import (
     choi_shuffle_permutation,
     kron_state,
@@ -14,10 +15,6 @@ from nclp.tensor import (
 )
 
 RNG = np.random.default_rng(20240815)
-
-
-def ginibre(n, rng=RNG):
-    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def unit(n, i, j):
@@ -37,8 +34,8 @@ def test_kron_of_identities_is_identity():
 
 def test_kron_defining_property_on_units():
     for n1, n2 in ((2, 2), (2, 3), (3, 2)):
-        s1 = SuperOperator(ginibre(n1 * n1))
-        s2 = SuperOperator(ginibre(n2 * n2))
+        s1 = SuperOperator(_ginibre(RNG, n1 * n1))
+        s2 = SuperOperator(_ginibre(RNG, n2 * n2))
         big = kron_superop(s1, s2)
         for i1, j1 in np.ndindex(n1, n1):
             for i2, j2 in np.ndindex(n2, n2):
@@ -48,10 +45,10 @@ def test_kron_defining_property_on_units():
 
 
 def test_kron_on_product_matrices():
-    s1 = SuperOperator(ginibre(4))
-    s2 = SuperOperator(ginibre(9))
+    s1 = SuperOperator(_ginibre(RNG, 4))
+    s2 = SuperOperator(_ginibre(RNG, 9))
     big = kron_superop(s1, s2)
-    x, y = ginibre(2), ginibre(3)
+    x, y = _ginibre(RNG, 2), _ginibre(RNG, 3)
     assert np.abs(big(np.kron(x, y)) - np.kron(s1(x), s2(y))).max() <= 1e-10
 
 
@@ -82,8 +79,8 @@ def test_embedding_factorizes_over_kron():
 
 def test_choi_factorizes_after_shuffle():
     for n1, n2 in ((2, 2), (2, 3), (3, 2)):
-        s1 = SuperOperator(ginibre(n1 * n1))
-        s2 = SuperOperator(ginibre(n2 * n2))
+        s1 = SuperOperator(_ginibre(RNG, n1 * n1))
+        s2 = SuperOperator(_ginibre(RNG, n2 * n2))
         big = kron_superop(s1, s2)
         perm = choi_shuffle_permutation(n1, n2)
         lhs = big.choi[np.ix_(perm, perm)]
