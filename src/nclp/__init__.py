@@ -16,7 +16,6 @@ from .cpmap import (
 )
 from .embed import (
     EmbeddedMap,
-    RegionStatus,
     Source,
     Status,
     build_embedded,
@@ -25,11 +24,7 @@ from .embed import (
     upper_bound,
 )
 from .matcore import PositiveMatrix, dual_element, schatten_norm
-from .normest import (
-    EstimatorConfig,
-    NormEstimate,
-    estimate_norm,
-)
+from .normest import NormEstimate, estimate_norm
 from .qubitfamily import (
     QubitWitness,
     Thresholds,
@@ -56,11 +51,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CompatibilityReport",
     "EmbeddedMap",
-    "EstimatorConfig",
     "NormEstimate",
     "PositiveMatrix",
     "QubitWitness",
-    "RegionStatus",
     "Source",
     "State",
     "Status",

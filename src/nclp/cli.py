@@ -2,8 +2,10 @@
 scans, and the self-verification suite.
 
 JSON conventions: complex scalars are two-element arrays [re, im] (plain
-numbers accepted on input), matrices are nested row arrays, superoperators
-are objects {"dim": n, "kind": "choi" | "action", "data": <n^2 x n^2 matrix>}.
+numbers accepted on input, booleans refused), matrices are nested row arrays,
+superoperators are objects {"dim": n, "kind": "choi" | "action", "data":
+<n^2 x n^2 matrix>}, states are a matrix or {"data": <n x n matrix>} with an
+optional "dim": n.
 Exit codes: 0 success, 2 invalid input, 3 verification failure.
 """
 
@@ -18,7 +20,7 @@ import numpy as np
 
 from .cpmap import State, SuperOperator, compatibility
 from .embed import build_embedded, classify_region, upper_bound
-from .normest import DEFAULT_SEED, RESTARTS, EstimatorConfig, estimate_norm
+from .normest import DEFAULT_SEED, RESTARTS, estimate_norm
 from .qubitfamily import family_max, find_counterexample
 from .tensor import steps_to_exceed
 
@@ -40,12 +42,21 @@ def encode_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _decode_entry(e) -> complex:
-    if isinstance(e, (int, float)):
-        return complex(e)
-    if isinstance(e, list) and len(e) == 2 and all(isinstance(v, (int, float)) for v in e):
-        return complex(e[0], e[1])
-    raise ValueError(f"matrix entry must be a number or [re, im], got {e!r}")
+    if _is_number(e):
+        parts = (e,)
+    elif isinstance(e, list) and len(e) == 2 and all(_is_number(v) for v in e):
+        parts = e
+    else:
+        raise ValueError(f"matrix entry must be a number or [re, im], got {e!r}")
+    try:
+        return complex(*parts)
+    except OverflowError as exc:
+        raise ValueError("matrix entry is beyond the float range") from exc
 
 
 def decode_matrix(obj) -> np.ndarray:
@@ -67,6 +78,12 @@ def encode_superop(t: SuperOperator, kind: str = "action") -> dict:
     return {"dim": t.dim, "kind": kind, "data": encode_matrix(data)}
 
 
+def _positive_dim(dim, what: str) -> int:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise ValueError(f"{what} dim must be a positive integer, got {dim!r}")
+    return dim
+
+
 def decode_superop(obj) -> SuperOperator:
     if not isinstance(obj, dict):
         raise ValueError("superoperator must be an object with dim/kind/data")
@@ -76,12 +93,9 @@ def decode_superop(obj) -> SuperOperator:
         data = decode_matrix(obj["data"])
     except KeyError as exc:
         raise ValueError(f"superoperator is missing key {exc}") from exc
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError(f"superoperator dim must be a positive integer, got {dim!r}")
-    if data.shape != (dim * dim, dim * dim):
-        raise ValueError(
-            f"superoperator data must be {dim * dim}x{dim * dim}, got {data.shape}"
-        )
+    n2 = _positive_dim(dim, "superoperator") ** 2
+    if data.shape != (n2, n2):
+        raise ValueError(f"superoperator data must be {n2}x{n2}, got {data.shape}")
     if kind == "action":
         return SuperOperator(data)
     if kind == "choi":
@@ -90,17 +104,25 @@ def decode_superop(obj) -> SuperOperator:
 
 
 def decode_state(obj) -> State:
-    if isinstance(obj, dict):
-        try:
-            obj = obj["data"]
-        except KeyError as exc:
-            raise ValueError("state object must carry a 'data' matrix") from exc
-    return State.from_matrix(decode_matrix(obj))
+    if not isinstance(obj, dict):
+        return State.from_matrix(decode_matrix(obj))
+    try:
+        data = decode_matrix(obj["data"])
+    except KeyError as exc:
+        raise ValueError("state object must carry a 'data' matrix") from exc
+    if "dim" in obj:
+        dim = _positive_dim(obj["dim"], "state")
+        if data.shape != (dim, dim):
+            raise ValueError(f"state data must be {dim}x{dim}, got {data.shape}")
+    return State.from_matrix(data)
 
 
 def _load_json(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"{path} nests JSON arrays or objects too deeply") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -122,23 +144,21 @@ def _grid(start: float, step: float, count: float) -> list[float]:
     return [start + k * step for k in range(int(count))]
 
 
-def _diagram_cell(p: float, theta: float, with_family: bool):
-    region = classify_region(p, theta)
-    fam = ""
-    if with_family and p < 2.0:
-        fam = _fmt(family_max(p, theta).m_value)
-    return (p, theta, region.status.value, region.source.value, fam)
+def _diagram_line(p: float, theta: float, with_family: bool) -> str:
+    source = classify_region(p, theta)
+    fam = _fmt(family_max(p, theta).m_value) if with_family and p < 2.0 else ""
+    return f"{_fmt(p)},{_fmt(theta)},{source.status.value},{source.value},{fam}"
 
 
-def phase_diagram_rows(
+def render_phase_diagram_csv(
     p_min: float,
     p_max: float,
     theta_step: float,
     p_step: float,
     *,
     with_family: bool,
-) -> list[tuple[float, float, str, str, str]]:
-    """Grid classification, one row per cell in (p, theta) order."""
+) -> str:
+    """Grid classification as CSV, one line per cell in (p, theta) order."""
     if not all(math.isfinite(v) for v in (p_min, p_max, theta_step, p_step)):
         raise ValueError("grid bounds and steps must be finite")
     if not (1.0 <= p_min <= p_max):
@@ -151,26 +171,11 @@ def phase_diagram_rows(
         raise ValueError(
             f"grid of {p_count:.3g} x {theta_count:.3g} cells exceeds {MAX_GRID_CELLS} cells"
         )
-    return [
-        _diagram_cell(p, theta, with_family)
-        for p in _grid(p_min, p_step, p_count)
-        for theta in _grid(0.0, theta_step, theta_count)
-    ]
-
-
-def render_phase_diagram_csv(
-    p_min: float,
-    p_max: float,
-    theta_step: float,
-    p_step: float,
-    *,
-    with_family: bool,
-) -> str:
-    rows = phase_diagram_rows(p_min, p_max, theta_step, p_step, with_family=with_family)
     lines = ["p,theta,status,source,family_max"]
     lines.extend(
-        f"{_fmt(p)},{_fmt(theta)},{status},{source},{fam}"
-        for p, theta, status, source, fam in rows
+        _diagram_line(p, theta, with_family)
+        for p in _grid(p_min, p_step, p_count)
+        for theta in _grid(0.0, theta_step, theta_count)
     )
     return "\n".join(lines) + "\n"
 
@@ -209,10 +214,9 @@ def cmd_norm(args) -> int:
     base = decode_superop(_load_json(args.map))
     state = decode_state(_load_json(args.state))
     emap = build_embedded(base, state, args.p, args.theta)
-    cfg = EstimatorConfig(restarts=args.restarts, seed=args.seed)
-    est = estimate_norm(emap.u_action, args.p, cfg)
+    est = estimate_norm(emap.u_action, args.p, restarts=args.restarts, seed=args.seed)
     rep = compatibility(base, state)
-    region = classify_region(args.p, args.theta)
+    source = classify_region(args.p, args.theta)
     bound = upper_bound(rep, args.p, args.theta)
     upper, upper_source = (None, None) if bound is None else (bound[0], bound[1].value)
     report = {
@@ -222,8 +226,8 @@ def cmd_norm(args) -> int:
         "witness": encode_matrix(est.witness),
         "upper_bound": upper,
         "upper_bound_source": upper_source,
-        "region_status": region.status.value,
-        "region_source": region.source.value,
+        "region_status": source.status.value,
+        "region_source": source.value,
         "c1": rep.c1,
         "c_inf": rep.c_inf,
         "cp": rep.completely_positive,
@@ -249,12 +253,12 @@ def cmd_counterexample(args) -> int:
     else:
         payload = {
             "c": witness.c,
-            "t": witness.t,
+            "t": witness.c - 0.5,
             "a": witness.a,
             "b": witness.b,
             "m_value": witness.m_value,
-            "p": witness.p,
-            "theta": witness.theta,
+            "p": args.p,
+            "theta": args.theta,
             "tensor_factors_to_exceed_10": steps_to_exceed(witness.m_value, DIVERGENCE_THRESHOLD),
         }
     _write_json(payload, args.out)

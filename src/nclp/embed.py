@@ -30,7 +30,7 @@ class Status(Enum):
 
 
 class Source(Enum):
-    """Which result justifies a region classification."""
+    """Which result classifies a (p, theta) pair; it fixes the pair's status."""
 
     THM41 = "Thm41"  # p >= 2, 2-positive
     THM43 = "Thm43"  # p < 2, theta in [1 - p/2, p/2]
@@ -38,22 +38,13 @@ class Source(Enum):
     THM61 = "Thm61"  # p < 2, theta strictly outside [theta0, theta1]
     NONE = "None"
 
-
-_BOUNDED_SOURCES = {Source.THM41, Source.THM43, Source.HJX_HALF}
-
-
-@dataclass(frozen=True)
-class RegionStatus:
-    status: Status
-    source: Source
-
-    def __post_init__(self):
-        if self.status is Status.BOUNDED and self.source not in _BOUNDED_SOURCES:
-            raise ValueError(f"bounded status cannot come from {self.source}")
-        if self.status is Status.UNBOUNDED and self.source is not Source.THM61:
-            raise ValueError(f"unbounded status cannot come from {self.source}")
-        if self.status is Status.UNKNOWN and self.source is not Source.NONE:
-            raise ValueError("unknown status carries no source")
+    @property
+    def status(self) -> Status:
+        if self is Source.THM61:
+            return Status.UNBOUNDED
+        if self is Source.NONE:
+            return Status.UNKNOWN
+        return Status.BOUNDED
 
 
 @dataclass(frozen=True)
@@ -106,14 +97,15 @@ def upper_bound(
     sources :func:`classify_region` assigns them.  Returns None when neither
     applies.
     """
-    source = classify_region(p, theta).source
+    source = classify_region(p, theta)
     if not rep.completely_positive or source not in (Source.THM41, Source.HJX_HALF):
         return None
     return rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p), source
 
 
-def classify_region(p: float, theta: float) -> RegionStatus:
-    """Classify (p, theta) as bounded / unbounded / unknown.
+def classify_region(p: float, theta: float) -> Source:
+    """The result that classifies (p, theta); its ``status`` is bounded /
+    unbounded / unknown.
 
     Boundary conventions: the interval [1 - p/2, p/2] is closed (bounded on
     its endpoints); the curves theta = (1 -+ sqrt(p-1))/2 are excluded from
@@ -124,12 +116,12 @@ def classify_region(p: float, theta: float) -> RegionStatus:
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     if p >= 2.0:
-        return RegionStatus(Status.BOUNDED, Source.THM41)
+        return Source.THM41
     if theta == 0.5:
-        return RegionStatus(Status.BOUNDED, Source.HJX_HALF)
+        return Source.HJX_HALF
     if 1.0 - p / 2.0 <= theta <= p / 2.0:
-        return RegionStatus(Status.BOUNDED, Source.THM43)
+        return Source.THM43
     th = theta_thresholds(p)
     if theta < th.theta0 or theta > th.theta1:
-        return RegionStatus(Status.UNBOUNDED, Source.THM61)
-    return RegionStatus(Status.UNKNOWN, Source.NONE)
+        return Source.THM61
+    return Source.NONE

@@ -32,18 +32,6 @@ _TINY = 1e-300
 
 
 @dataclass(frozen=True)
-class EstimatorConfig:
-    """Random-restart budget and seed of the dual ascent."""
-
-    restarts: int = RESTARTS
-    seed: int = DEFAULT_SEED
-
-    def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-
-
-@dataclass(frozen=True)
 class NormEstimate:
     """Witness-certified lower bound: ||witness||_p = 1, ||U(witness)||_p = value."""
 
@@ -177,7 +165,7 @@ def _ginibre(n: int, seed: int, index: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
 
-def _start_stack(n: int, p: float, cfg: EstimatorConfig, starts) -> np.ndarray:
+def _start_stack(n: int, p: float, restarts: int, seed: int, starts) -> np.ndarray:
     """The (k, n, n) stack of unit-norm starts, in the order of :func:`estimate_norm`."""
     stack = []
     user = [_as_matrix(s) for s in starts]
@@ -188,31 +176,30 @@ def _start_stack(n: int, p: float, cfg: EstimatorConfig, starts) -> np.ndarray:
     stack.extend(_matrix_units(n))
     if n == 2:
         stack.extend(_antidiagonal_probes(p))
-    stack.extend(
-        _normalize(np.stack([_ginibre(n, cfg.seed, k) for k in range(cfg.restarts)]), p)
-    )
+    stack.extend(_normalize(np.stack([_ginibre(n, seed, k) for k in range(restarts)]), p))
     return np.stack(stack)
 
 
 def estimate_norm(
     u: SuperOperator,
     p: float,
-    cfg: EstimatorConfig | None = None,
     *,
+    restarts: int = RESTARTS,
+    seed: int = DEFAULT_SEED,
     starts=(),
 ) -> NormEstimate:
     """Best witness value of the dual ascent over deterministic and random starts.
 
     Starts are, in order: caller-supplied ``starts`` (normalized), all matrix
-    units, anti-diagonal probes when the map acts on M_2, then ``cfg.restarts``
-    Ginibre draws keyed by (cfg.seed, restart index).  All of them ascend as
+    units, anti-diagonal probes when the map acts on M_2, then ``restarts``
+    Ginibre draws keyed by (``seed``, restart index).  All of them ascend as
     one batch; the earliest start with the maximum value wins.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    if cfg is None:
-        cfg = EstimatorConfig()
-    ys = _start_stack(u.dim, p, cfg, starts)
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    ys = _start_stack(u.dim, p, restarts, seed, starts)
     run = _ascend(u.action_matrix, p, ys)
     best = int(np.argmax(run.values))
     witness = _normalize(run.witnesses[best:best + 1], p)[0]

@@ -163,26 +163,15 @@ class QubitWitness:
     """Family member and witness certifying m_value as a norm lower bound."""
 
     c: float
-    t: float
     a: float
     b: float
     m_value: float
-    p: float
-    theta: float
 
 
 def _witness_at(c: float, p: float, theta: float) -> QubitWitness:
     d = delta(c, p, theta)
     a, b = optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
-    return QubitWitness(
-        c=c,
-        t=c - 0.5,
-        a=a,
-        b=b,
-        m_value=family_value(c, p, theta, a, b),
-        p=p,
-        theta=theta,
-    )
+    return QubitWitness(c=c, a=a, b=b, m_value=family_value(c, p, theta, a, b))
 
 
 def family_max(p: float, theta: float) -> QubitWitness:

@@ -24,7 +24,7 @@ from .embed import (
     upper_bound,
 )
 from .matcore import PositiveMatrix, _hermitian_part, dual_element, schatten_norm
-from .normest import EstimatorConfig, estimate_norm
+from .normest import estimate_norm
 from .qubitfamily import (
     alpha,
     alpha1,
@@ -257,15 +257,16 @@ def check_cp_flags(seed: int) -> CheckResult:
 
 def check_theta_symmetry_qubit(seed: int) -> CheckResult:
     rng = _rng(seed, 11)
-    cfg = EstimatorConfig(restarts=8, seed=seed)
     errs = []
     for _ in range(3):
         c = float(rng.uniform(0.15, 0.85))
         p = float(rng.uniform(1.0, 2.0))
         theta = float(rng.uniform(0.0, 1.0))
         t, s = qubit_map(c), qubit_state(c)
-        v1 = estimate_norm(build_embedded(t, s, p, theta).u_action, p, cfg).value
-        v2 = estimate_norm(build_embedded(t, s, p, 1.0 - theta).u_action, p, cfg).value
+        v1, v2 = (
+            estimate_norm(build_embedded(t, s, p, th).u_action, p, restarts=8, seed=seed).value
+            for th in (theta, 1.0 - theta)
+        )
         errs.append(abs(v1 - v2))
     err = _worst(errs)
     return CheckResult("embed.theta_symmetry_qubit", err <= 1e-6, f"max |diff| {err:.2e}")
@@ -273,7 +274,6 @@ def check_theta_symmetry_qubit(seed: int) -> CheckResult:
 
 def check_half_theta_contraction(seed: int) -> CheckResult:
     rng = _rng(seed, 12)
-    cfg = EstimatorConfig(restarts=8, seed=seed)
     worst = -math.inf
     for n in (2, 3):
         for p in (1.0, 1.4, 1.6, 2.5):
@@ -282,7 +282,7 @@ def check_half_theta_contraction(seed: int) -> CheckResult:
             rep = compatibility(t, state)
             t = SuperOperator(t.action_matrix * (1.0 / max(rep.c1, rep.c_inf)))  # C1, C_inf <= 1
             emap = build_embedded(t, state, p, 0.5)
-            worst = max(worst, estimate_norm(emap.u_action, p, cfg).value - 1.0)
+            worst = max(worst, estimate_norm(emap.u_action, p, restarts=8, seed=seed).value - 1.0)
     return CheckResult("embed.half_theta_contraction", worst <= 1e-8, f"max excess {worst:.2e}")
 
 
@@ -294,13 +294,12 @@ def check_classify_symmetry(seed: int) -> CheckResult:
         theta = float(rng.uniform(0.0, 1.0))
         a = classify_region(p, theta)
         b = classify_region(p, 1.0 - theta)
-        ok = ok and a.status is b.status and a.source is b.source
+        ok = ok and a is b
     return CheckResult("embed.classify_symmetry", ok, "theta <-> 1-theta over 100 draws")
 
 
 def check_p2_exact_vs_estimate(seed: int) -> CheckResult:
     rng = _rng(seed, 14)
-    cfg = EstimatorConfig(restarts=8, seed=seed)
     errs = []
     for n in (2, 3):
         for _ in range(5):
@@ -308,7 +307,7 @@ def check_p2_exact_vs_estimate(seed: int) -> CheckResult:
             state = _random_state(rng, n)
             emap = build_embedded(t, state, 2.0, float(rng.uniform(0, 1)))
             exact = exact_norm_p2(emap)
-            est = estimate_norm(emap.u_action, 2.0, cfg).value
+            est = estimate_norm(emap.u_action, 2.0, restarts=8, seed=seed).value
             errs.append(abs(est - exact) / exact)
     err = _worst(errs)
     return CheckResult("embed.p2_exact_vs_estimate", err <= 1e-6, f"max rel err {err:.2e}")
@@ -327,7 +326,6 @@ def check_monotone_ascent(seed: int) -> CheckResult:
 
 def check_soundness_vs_upper_bound(seed: int) -> CheckResult:
     rng = _rng(seed, 16)
-    cfg = EstimatorConfig(restarts=4, seed=seed)
     worst = -math.inf
     for n in (2, 3):
         for _ in range(2):
@@ -337,11 +335,10 @@ def check_soundness_vs_upper_bound(seed: int) -> CheckResult:
             for p, theta in ((2.0, 0.0), (2.0, 0.7), (3.0, 1.0), (1.3, 0.5), (1.7, 0.5)):
                 bound = upper_bound(rep, p, theta)
                 if bound is None:
-                    return CheckResult(
-                        "normest.soundness_vs_upper_bound", False, f"no bound at p={p}, theta={theta}"
-                    )
+                    detail = f"no bound at p={p}, theta={theta}"
+                    return CheckResult("normest.soundness_vs_upper_bound", False, detail)
                 emap = build_embedded(t, state, p, theta)
-                est = estimate_norm(emap.u_action, p, cfg).value
+                est = estimate_norm(emap.u_action, p, restarts=4, seed=seed).value
                 worst = max(worst, est - bound[0])
     return CheckResult("normest.soundness_vs_upper_bound", worst <= 1e-8, f"max excess {worst:.2e}")
 
@@ -351,8 +348,7 @@ def check_determinism(seed: int) -> CheckResult:
     t = _random_cp_map(rng, 2)
     state = _random_state(rng, 2)
     emap = build_embedded(t, state, 1.5, 0.2)
-    cfg = EstimatorConfig(restarts=8, seed=seed)
-    runs = [estimate_norm(emap.u_action, 1.5, cfg) for _ in range(4)]
+    runs = [estimate_norm(emap.u_action, 1.5, restarts=8, seed=seed) for _ in range(4)]
     a = runs[0]
     ok = all(b.value == a.value and np.array_equal(b.witness, a.witness) for b in runs[1:])
     return CheckResult("normest.determinism", ok, f"values {[r.value for r in runs]!r}")
@@ -362,7 +358,6 @@ def check_batch_determinism(seed: int) -> CheckResult:
     # every start of an estimate_norm batch, rerun alone, must come out bit
     # for bit the same: a start's result may not depend on its batch
     rng = _rng(seed, 30)
-    cfg = EstimatorConfig(restarts=8, seed=seed)
     starts = mismatched = 0
     linked = True
     for n in (2, 3, 4):
@@ -371,9 +366,9 @@ def check_batch_determinism(seed: int) -> CheckResult:
                 _random_cp_map(rng, n), _random_state(rng, n), p, float(rng.uniform(0, 1))
             )
             u = emap.u_action
-            ys = normest._start_stack(n, p, cfg, ())
+            ys = normest._start_stack(n, p, 8, seed, ())
             batch = normest._ascend(u.action_matrix, p, ys)
-            est = estimate_norm(u, p, cfg)
+            est = estimate_norm(u, p, restarts=8, seed=seed)
             best = int(np.argmax(batch.values))
             linked = linked and (est.iterations, est.converged) == (
                 batch.iterations[best], batch.converged[best]
@@ -397,13 +392,13 @@ def check_batch_determinism(seed: int) -> CheckResult:
 
 def check_homogeneity(seed: int) -> CheckResult:
     rng = _rng(seed, 18)
-    cfg = EstimatorConfig(restarts=4, seed=seed)
     t = SuperOperator(_ginibre(rng, 4))
     errs = []
     for p in (1.0, 1.7, 2.0):
-        base = estimate_norm(t, p, cfg).value
+        base = estimate_norm(t, p, restarts=4, seed=seed).value
         for scale in (3.0, 0.25):
-            scaled = estimate_norm(SuperOperator(scale * t.action_matrix), p, cfg).value
+            scaled_map = SuperOperator(scale * t.action_matrix)
+            scaled = estimate_norm(scaled_map, p, restarts=4, seed=seed).value
             errs.append(abs(scaled - scale * base) / (scale * base))
     err = _worst(errs)
     return CheckResult("normest.homogeneity", err <= 1e-10, f"max rel err {err:.2e}")
@@ -415,7 +410,6 @@ def check_homogeneity(seed: int) -> CheckResult:
 
 def check_family_consistency(seed: int) -> CheckResult:
     rng = _rng(seed, 19)
-    cfg = EstimatorConfig(restarts=8, seed=seed)
     ok = True
     details = []
     for _ in range(5):
@@ -426,9 +420,9 @@ def check_family_consistency(seed: int) -> CheckResult:
         a, b = optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
         fam = family_value(c, p, theta, a, b)
         emap = build_embedded(qubit_map(c), qubit_state(c), p, theta)
-        free = estimate_norm(emap.u_action, p, cfg).value
+        free = estimate_norm(emap.u_action, p, restarts=8, seed=seed).value
         witness = np.array([[0, a], [b, 0]], dtype=complex)
-        seeded = estimate_norm(emap.u_action, p, cfg, starts=[witness]).value
+        seeded = estimate_norm(emap.u_action, p, restarts=8, seed=seed, starts=[witness]).value
         ok = ok and fam <= free + 1e-8 and seeded >= fam - 1e-10
         details.append(f"fam {fam:.6f} est {free:.6f}")
     return CheckResult("qubitfamily.consistency_with_estimator", ok, "; ".join(details))
@@ -541,7 +535,6 @@ def check_embedded_action_match(seed: int) -> CheckResult:
 
 def check_kron_lower_bound(seed: int) -> CheckResult:
     rng = _rng(seed, 26)
-    cfg = EstimatorConfig(restarts=4, seed=seed)
     ok = True
     details = []
     for p in (1.0, 1.5):
@@ -549,12 +542,12 @@ def check_kron_lower_bound(seed: int) -> CheckResult:
         theta = float(rng.uniform(0.0, 1.0))
         t1, t2 = qubit_map(c1v), qubit_map(c2v)
         s1, s2 = qubit_state(c1v), qubit_state(c2v)
-        r1 = estimate_norm(build_embedded(t1, s1, p, theta).u_action, p, cfg)
-        r2 = estimate_norm(build_embedded(t2, s2, p, theta).u_action, p, cfg)
+        r1 = estimate_norm(build_embedded(t1, s1, p, theta).u_action, p, restarts=4, seed=seed)
+        r2 = estimate_norm(build_embedded(t2, s2, p, theta).u_action, p, restarts=4, seed=seed)
         product = r1.value * r2.value
         big = build_embedded(kron_superop(t1, t2), kron_state(s1, s2), p, theta)
         seeded = estimate_norm(
-            big.u_action, p, cfg, starts=[np.kron(r1.witness, r2.witness)]
+            big.u_action, p, restarts=4, seed=seed, starts=[np.kron(r1.witness, r2.witness)]
         ).value
         ok = ok and seeded >= product - 1e-6
         details.append(f"p={p}: kron {seeded:.8f} >= prod {product:.8f}")
@@ -592,14 +585,13 @@ def check_csv_reproducibility(seed: int) -> CheckResult:
 
 def check_witness_certification(seed: int) -> CheckResult:
     rng = _rng(seed, 29)
-    cfg = EstimatorConfig(restarts=4, seed=seed)
     value_errs, unit_errs = [], []
     for p in (1.0, 1.5, 2.0, 2.5):
         t = _random_cp_map(rng, 2)
         state = _random_state(rng, 2)
         emap = build_embedded(t, state, p, float(rng.uniform(0, 1)))
         for u in (emap.u_action, SuperOperator(_ginibre(rng, 9))):
-            est = estimate_norm(u, p, cfg)
+            est = estimate_norm(u, p, restarts=4, seed=seed)
             value_errs.append(abs(schatten_norm(u(est.witness), p) - est.value) / est.value)
             unit_errs.append(abs(schatten_norm(est.witness, p) - 1.0))
     value_err, unit_err = _worst(value_errs), _worst(unit_errs)

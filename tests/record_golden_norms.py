@@ -3,7 +3,7 @@
 Each case is a seeded ``(T, Gamma, p, theta)``: T is a random Kraus CP map,
 a random unital CP map or a non-CP Ginibre action on M_n, Gamma a random
 faithful state, and the recorded value is ``estimate_norm(U, p).value`` of
-the embedded action under the default ``EstimatorConfig``.  The file is a
+the embedded action at the default ``restarts`` and ``seed``.  The file is a
 floor for every later estimator: ``tests/test_golden.py`` requires each
 value to stay at least the recorded one.  Never re-record it to make a case
 pass.

@@ -12,7 +12,7 @@ import pytest
 from nclp import cli, selfcheck
 from nclp.cpmap import SuperOperator, compatibility
 from nclp.embed import build_embedded, exact_norm_p2, upper_bound
-from nclp.normest import EstimatorConfig, estimate_norm
+from nclp.normest import estimate_norm
 from nclp.qubitfamily import (
     alpha,
     alpha1,
@@ -117,7 +117,6 @@ def test_criterion_3_specific_values():
 
 def test_criterion_4_upper_bound_soundness():
     rng = np.random.default_rng(SEED + 4)
-    cfg = EstimatorConfig(restarts=2, seed=SEED)
     worst = -math.inf
     cases = 0
     missing = []
@@ -134,7 +133,7 @@ def test_criterion_4_upper_bound_soundness():
                     missing.append((n, p, theta))
                     continue
                 emap = build_embedded(t, state, p, theta)
-                est = estimate_norm(emap.u_action, p, cfg).value
+                est = estimate_norm(emap.u_action, p, restarts=2, seed=SEED).value
                 worst = max(worst, est - bound[0])
                 cases += 1
     _report(
@@ -147,7 +146,6 @@ def test_criterion_4_upper_bound_soundness():
 
 def test_criterion_5_p2_oracle_equivalence():
     rng = np.random.default_rng(SEED + 5)
-    cfg = EstimatorConfig(restarts=4, seed=SEED)
     worst_rel = 0.0
     for n in (2, 3):
         for _ in range(25):
@@ -155,7 +153,7 @@ def test_criterion_5_p2_oracle_equivalence():
             state = _random_state(rng, n)
             emap = build_embedded(t, state, 2.0, float(rng.uniform(0, 1)))
             exact = exact_norm_p2(emap)
-            est = estimate_norm(emap.u_action, 2.0, cfg).value
+            est = estimate_norm(emap.u_action, 2.0, restarts=4, seed=SEED).value
             worst_rel = max(worst_rel, abs(est - exact) / exact)
     worst_family = 0.0
     for _ in range(20):
@@ -165,7 +163,7 @@ def test_criterion_5_p2_oracle_equivalence():
         worst_family = max(
             worst_family,
             abs(exact_norm_p2(emap) - 1.0),
-            abs(estimate_norm(emap.u_action, 2.0, cfg).value - 1.0),
+            abs(estimate_norm(emap.u_action, 2.0, restarts=4, seed=SEED).value - 1.0),
         )
     ok = worst_rel <= 1e-6 and worst_family <= 1e-6
     _report(
@@ -178,7 +176,6 @@ def test_criterion_5_p2_oracle_equivalence():
 
 def test_criterion_6_kron_lower_bounds():
     rng = np.random.default_rng(SEED + 6)
-    cfg = EstimatorConfig(restarts=2, seed=SEED)
     worst_gap = -math.inf
     worst_p2 = 0.0
     for _ in range(10):
@@ -191,11 +188,11 @@ def test_criterion_6_kron_lower_bounds():
         for p in (1.0, 1.5):
             e1 = build_embedded(t1, s1, p, theta)
             e2 = build_embedded(t2, s2, p, theta)
-            r1 = estimate_norm(e1.u_action, p, cfg)
-            r2 = estimate_norm(e2.u_action, p, cfg)
+            r1 = estimate_norm(e1.u_action, p, restarts=2, seed=SEED)
+            r2 = estimate_norm(e2.u_action, p, restarts=2, seed=SEED)
             big = build_embedded(tk, sk, p, theta)
             est = estimate_norm(
-                big.u_action, p, cfg, starts=[np.kron(r1.witness, r2.witness)]
+                big.u_action, p, restarts=2, seed=SEED, starts=[np.kron(r1.witness, r2.witness)]
             ).value
             worst_gap = max(worst_gap, r1.value * r2.value - est)
         ep1 = build_embedded(t1, s1, 2.0, theta)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclp import cli
 from nclp.cpmap import SuperOperator
@@ -261,6 +263,103 @@ def test_norm_rejects_non_faithful_state(tmp_path):
     assert code == cli.EXIT_INVALID_INPUT
 
 
+def assert_refused(code, capsys):
+    assert code == cli.EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_norm_rejects_entry_beyond_float_range(tmp_path, capsys):
+    data = np.eye(4).tolist()
+    data[0][0] = 10**400
+    huge = {"dim": 2, "kind": "action", "data": data}
+    code, _ = run_norm(tmp_path, huge, QUBIT_STATE_06, ["--p", "2", "--theta", "0"])
+    assert_refused(code, capsys)
+
+
+def test_norm_rejects_deeply_nested_json(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    state = write_json(tmp_path / "state.json", QUBIT_STATE_06)
+    code = cli.main(["norm", "--map", str(deep), "--state", state, "--p", "2", "--theta", "0"])
+    assert_refused(code, capsys)
+
+
+def test_norm_rejects_boolean_entries(tmp_path, capsys):
+    data = np.eye(4).tolist()
+    data[0][0] = True
+    flagged = {"dim": 2, "kind": "action", "data": data}
+    code, _ = run_norm(tmp_path, flagged, QUBIT_STATE_06, ["--p", "2", "--theta", "0"])
+    assert_refused(code, capsys)
+
+
+def test_norm_rejects_state_dim_mismatch(tmp_path, capsys):
+    state = {"dim": 5, "data": QUBIT_STATE_06["data"]}
+    code, _ = run_norm(tmp_path, QUBIT_MAP_06, state, ["--p", "2", "--theta", "0"])
+    assert_refused(code, capsys)
+
+
+# ---------------------------------------------------------------------------
+# decoder fuzzing: every input decodes or raises one of the two exceptions
+# that main turns into exit 2
+
+_HUGE = st.integers(min_value=2**1024, max_value=2**1100)
+_SCALARS = st.one_of(
+    st.integers(-3, 3),
+    st.floats(),  # NaN and the infinities included
+    st.booleans(),
+    _HUGE,
+    _HUGE.map(lambda v: -v),
+    st.none(),
+    st.text(max_size=2),
+)
+_ENTRIES = _SCALARS | st.lists(_SCALARS, min_size=2, max_size=2)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "kind", "data"]), inner, max_size=3),
+    max_leaves=8,
+)
+_SQUARE = st.sampled_from([1, 2]).flatmap(
+    lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+_DIMS = st.one_of(st.integers(-1, 3), st.booleans(), _HUGE, st.floats(), st.none())
+_FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def decodes_or_refuses(decode, obj):
+    try:
+        decode(obj)
+    except (ValueError, np.linalg.LinAlgError):
+        pass
+
+
+@_FUZZ
+@given(_SQUARE | _JSON)
+def test_decode_matrix_fuzz(obj):
+    decodes_or_refuses(cli.decode_matrix, obj)
+
+
+@_FUZZ
+@given(
+    st.fixed_dictionaries(
+        {"dim": _DIMS, "kind": st.sampled_from(["action", "choi", "kraus"]), "data": _SQUARE}
+    )
+    | _JSON
+)
+def test_decode_superop_fuzz(obj):
+    decodes_or_refuses(cli.decode_superop, obj)
+
+
+@_FUZZ
+@given(
+    _SQUARE
+    | st.fixed_dictionaries({"data": _SQUARE}, optional={"dim": _DIMS})
+    | _JSON
+)
+def test_decode_state_fuzz(obj):
+    decodes_or_refuses(cli.decode_state, obj)
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 
@@ -272,6 +371,8 @@ def test_counterexample_witness_payload(capsys):
     assert payload["m_value"] > 1.0 + 1e-6
     assert payload["tensor_factors_to_exceed_10"] >= 1
     assert payload["a"] == 1.0 and payload["b"] == 0.0
+    assert payload["t"] == payload["c"] - 0.5
+    assert (payload["p"], payload["theta"]) == (1.0, 0.0)
 
 
 def test_counterexample_near_threshold_counts_factors(capsys):

@@ -5,7 +5,6 @@ import pytest
 
 from nclp.cpmap import State, SuperOperator, compatibility
 from nclp.embed import (
-    RegionStatus,
     Source,
     Status,
     build_embedded,
@@ -182,9 +181,8 @@ def test_upper_bound_rejects_bad_p():
     ],
 )
 def test_classify_region_table(p, theta, status, source):
-    region = classify_region(p, theta)
-    assert region.status is status
-    assert region.source is source
+    assert classify_region(p, theta) is source
+    assert source.status is status
 
 
 def test_classify_region_threshold_value():
@@ -203,11 +201,3 @@ def test_classify_region_validates_input():
     with pytest.raises(ValueError):
         classify_region(2.0, -0.1)
 
-
-def test_region_status_consistency_enforced():
-    with pytest.raises(ValueError):
-        RegionStatus(Status.BOUNDED, Source.THM61)
-    with pytest.raises(ValueError):
-        RegionStatus(Status.UNBOUNDED, Source.THM41)
-    with pytest.raises(ValueError):
-        RegionStatus(Status.UNKNOWN, Source.THM43)

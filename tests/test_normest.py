@@ -6,7 +6,7 @@ import pytest
 from nclp.cpmap import SuperOperator
 from nclp.embed import build_embedded
 from nclp.matcore import dual_element, schatten_norm
-from nclp.normest import EstimatorConfig, estimate_norm
+from nclp.normest import estimate_norm
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre
 
@@ -19,7 +19,7 @@ RNG = np.random.default_rng(20240814)
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
 def test_identity_norm_is_one(p):
-    est = estimate_norm(SuperOperator.identity(2), p, EstimatorConfig(restarts=4))
+    est = estimate_norm(SuperOperator.identity(2), p, restarts=4)
     assert est.value == pytest.approx(1.0, abs=1e-10)
     assert est.converged
 
@@ -27,14 +27,14 @@ def test_identity_norm_is_one(p):
 def test_qubit_family_lower_bound_at_p1():
     c = 0.6
     emap = build_embedded(qubit_map(c), qubit_state(c), 1.0, 0.0)
-    est = estimate_norm(emap.u_action, 1.0, EstimatorConfig(restarts=8))
+    est = estimate_norm(emap.u_action, 1.0, restarts=8)
     assert est.value >= math.sqrt(1.5) - 1e-12
     assert est.value == pytest.approx(1.224744871391589, abs=1e-9)
 
 
 def test_zero_map_returns_zero():
     t = SuperOperator(np.zeros((4, 4), dtype=complex))
-    est = estimate_norm(t, 1.5, EstimatorConfig(restarts=2))
+    est = estimate_norm(t, 1.5, restarts=2)
     assert est.value == 0.0
     assert abs(schatten_norm(est.witness, 1.5) - 1.0) <= 1e-12
 
@@ -50,14 +50,14 @@ def test_estimate_rejects_bad_p():
 def test_starts_must_match_the_map():
     t = SuperOperator.identity(2)
     with pytest.raises(ValueError):
-        estimate_norm(t, 1.5, EstimatorConfig(restarts=1), starts=[np.eye(3)])
+        estimate_norm(t, 1.5, restarts=1, starts=[np.eye(3)])
     with pytest.raises(ValueError):
-        estimate_norm(t, 1.5, EstimatorConfig(restarts=1), starts=[np.zeros((2, 2))])
+        estimate_norm(t, 1.5, restarts=1, starts=[np.zeros((2, 2))])
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        EstimatorConfig(restarts=0)
+    with pytest.raises(ValueError, match="restarts"):
+        estimate_norm(SuperOperator.identity(2), 1.5, restarts=0)
 
 
 # ---------------------------------------------------------------------------

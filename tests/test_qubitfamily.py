@@ -195,13 +195,11 @@ def test_thresholds_structure():
 
 
 def test_witness_invariants():
-    w = family_max(1.5, 0.05)
+    p, theta = 1.5, 0.05
+    w = family_max(p, theta)
     assert isinstance(w, QubitWitness)
-    assert w.a**w.p + w.b**w.p == pytest.approx(1.0, abs=1e-12)
-    assert w.m_value == pytest.approx(
-        family_value(w.c, w.p, w.theta, w.a, w.b), abs=1e-12
-    )
-    assert w.t == pytest.approx(w.c - 0.5, abs=1e-15)
+    assert w.a**p + w.b**p == pytest.approx(1.0, abs=1e-12)
+    assert w.m_value == pytest.approx(family_value(w.c, p, theta, w.a, w.b), abs=1e-12)
 
 
 def test_counterexample_p1_theta0():
