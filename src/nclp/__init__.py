@@ -32,6 +32,7 @@ from .qubitfamily import (
     alpha1,
     delta,
     family_max,
+    family_maxima,
     family_value,
     find_counterexample,
     m_closed,
@@ -70,6 +71,7 @@ __all__ = [
     "estimate_norm",
     "exact_norm_p2",
     "family_max",
+    "family_maxima",
     "family_value",
     "find_counterexample",
     "is_completely_positive",

@@ -21,7 +21,7 @@ import numpy as np
 from .cpmap import State, SuperOperator, compatibility
 from .embed import build_embedded, classify_region, upper_bound
 from .normest import DEFAULT_SEED, RESTARTS, estimate_norm
-from .qubitfamily import family_max, find_counterexample
+from .qubitfamily import family_maxima, find_counterexample
 from .tensor import steps_to_exceed
 
 EXIT_OK = 0
@@ -140,14 +140,10 @@ def _grid_count(start: float, stop: float, step: float) -> float:
     return math.floor(span) + 1.0 if math.isfinite(span) else math.inf
 
 
-def _grid(start: float, step: float, count: float) -> list[float]:
-    return [start + k * step for k in range(int(count))]
-
-
-def _diagram_line(p: float, theta: float, with_family: bool) -> str:
-    source = classify_region(p, theta)
-    fam = _fmt(family_max(p, theta).m_value) if with_family and p < 2.0 else ""
-    return f"{_fmt(p)},{_fmt(theta)},{source.status.value},{source.value},{fam}"
+def _grid(start: float, stop: float, step: float, count: float) -> list[float]:
+    """start + k * step for k < count, each capped at stop: the count allows
+    a 1e-9 step of overshoot, which must not carry a point past stop."""
+    return [min(start + k * step, stop) for k in range(int(count))]
 
 
 def render_phase_diagram_csv(
@@ -171,12 +167,19 @@ def render_phase_diagram_csv(
         raise ValueError(
             f"grid of {p_count:.3g} x {theta_count:.3g} cells exceeds {MAX_GRID_CELLS} cells"
         )
+    thetas = _grid(0.0, 1.0, theta_step, theta_count)
+    theta_cols = [_fmt(theta) for theta in thetas]
+    no_family = [""] * len(thetas)
     lines = ["p,theta,status,source,family_max"]
-    lines.extend(
-        _diagram_line(p, theta, with_family)
-        for p in _grid(p_min, p_step, p_count)
-        for theta in _grid(0.0, theta_step, theta_count)
-    )
+    for p in _grid(p_min, p_max, p_step, p_count):
+        if with_family and p < 2.0:
+            fams = [_fmt(w.m_value) for w in family_maxima(p, thetas)]
+        else:
+            fams = no_family
+        p_col = _fmt(p)
+        for theta, theta_col, fam in zip(thetas, theta_cols, fams):
+            source = classify_region(p, theta)
+            lines.append(f"{p_col},{theta_col},{source.status.value},{source.value},{fam}")
     return "\n".join(lines) + "\n"
 
 

@@ -19,6 +19,7 @@ checks against ``alpha`` apply the p-th power first.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,12 @@ T_MARGIN = 1e-3
 # Coarse scan size and golden-section stopping width in t.
 GRID_POINTS = 1000
 REFINE_TOL = 1e-12
+# The coarse grid in t = c - 1/2 and its theta-independent terms
+# log((1-c)/c) and log(c(1-c)).
+_TS = np.linspace(-0.5 + T_MARGIN, 0.5 - T_MARGIN, GRID_POINTS)
+_GRID_C = 0.5 + _TS
+_GRID_LOG_RATIO = np.log((1.0 - _GRID_C) / _GRID_C)
+_GRID_LOG_CC = np.log(_GRID_C * (1.0 - _GRID_C))
 
 
 def _check_c(c: float):
@@ -97,20 +104,26 @@ def family_value(c: float, p: float, theta: float, a: float, b: float) -> float:
     return float(base ** (1.0 / p))
 
 
-def _log_m_pow_p(c, p: float, theta: float):
+def _log_pow_p(log_ratio, log_cc, p: float, slope):
     """log of the p-th power of the family maximum over anti-diagonal
-    witnesses at the module's (a, b) selection; broadcasts over ``c``."""
-    c = np.asarray(c, dtype=float)
-    log_ratio = np.log((1.0 - c) / c)
-    log_d = (2.0 * theta - 1.0) / p * log_ratio
+    witnesses at the module's (a, b) selection, from log((1-c)/c),
+    log(c(1-c)) and slope = (2 theta - 1)/p, the exponent of
+    d = ((1-c)/c)^slope; broadcasts over all three."""
+    log_d = slope * log_ratio
     if p == 1.0:
-        return 0.5 * np.log(c * (1.0 - c)) + np.log1p(np.exp(log_d))
+        return 0.5 * log_cc + np.log1p(np.exp(log_d))
     q = p / (p - 1.0)
     return (
-        (p / 2.0) * np.log(c * (1.0 - c))
+        (p / 2.0) * log_cc
         + np.logaddexp(-p * log_d, 0.0)
         + (p - 1.0) * np.logaddexp(q * log_d, 0.0)
     )
+
+
+def _log_m_pow_p(c, p: float, slope):
+    """``_log_pow_p`` at the family parameter ``c``; broadcasts over ``c``."""
+    c = np.asarray(c, dtype=float)
+    return _log_pow_p(np.log((1.0 - c) / c), np.log(c * (1.0 - c)), p, slope)
 
 
 def m_closed(c: float, p: float, theta: float) -> float:
@@ -123,7 +136,7 @@ def m_closed(c: float, p: float, theta: float) -> float:
     _check_c(c)
     if not (p >= 1.0 and 0.0 <= theta <= 1.0):
         raise ValueError(f"need p >= 1 and theta in [0, 1], got ({p}, {theta})")
-    return float(np.exp(_log_m_pow_p(c, p, theta) / p))
+    return float(np.exp(_log_m_pow_p(c, p, (2.0 * theta - 1.0) / p) / p))
 
 
 def alpha(p: float, theta: float) -> float:
@@ -174,43 +187,64 @@ def _witness_at(c: float, p: float, theta: float) -> QubitWitness:
     return QubitWitness(c=c, a=a, b=b, m_value=family_value(c, p, theta, a, b))
 
 
-def family_max(p: float, theta: float) -> QubitWitness:
-    """Maximize m_closed over the family parameter.
+def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
+    """Maximize m_closed over the family parameter, for each theta at one p.
 
     Coarse scan of t = c - 1/2 over ``GRID_POINTS`` values in
-    (-1/2 + margin, 1/2 - margin), then golden-section refinement around the
-    best grid cell down to ``REFINE_TOL`` in t.
+    (-1/2 + margin, 1/2 - margin), one theta at a time, then golden-section
+    refinement around each theta's best grid cell down to ``REFINE_TOL`` in
+    t.  All thetas advance through the refinement as one stack; each one
+    stops at its own width, so its witness is bitwise the one it gets alone.
     """
     if not (1.0 <= p < 2.0):
         raise ValueError(f"the family certifies norms for p in [1, 2), got {p}")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    ts = np.linspace(-0.5 + T_MARGIN, 0.5 - T_MARGIN, GRID_POINTS)
-    values = _log_m_pow_p(0.5 + ts, p, theta)
-    i = int(np.argmax(values))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, GRID_POINTS - 1)]
+    for theta in thetas:
+        if not (0.0 <= theta <= 1.0):
+            raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    slope = (2.0 * np.array(thetas, dtype=float) - 1.0) / p
+    best_i = np.empty(slope.size, dtype=np.intp)
+    best_f = np.empty(slope.size)
+    for k, s in enumerate(slope):
+        values = _log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, s)
+        best_i[k] = np.argmax(values)
+        best_f[k] = values[best_i[k]]
+    lo = _TS[np.maximum(best_i - 1, 0)]
+    hi = _TS[np.minimum(best_i + 1, GRID_POINTS - 1)]
 
-    def objective(t: float) -> float:
-        return float(_log_m_pow_p(0.5 + t, p, theta))
-
-    # Golden-section maximization on [lo, hi].
+    # Golden-section maximization on each [lo, hi]; a cell whose bracket is
+    # down to REFINE_TOL keeps its state while the others advance.
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = objective(x1), objective(x2)
-    while hi - lo > REFINE_TOL:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = objective(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = objective(x2)
-    t_best = x1 if f1 >= f2 else x2
-    if objective(float(ts[i])) > objective(t_best):
-        t_best = float(ts[i])
-    return _witness_at(0.5 + t_best, p, theta)
+    f1, f2 = _log_m_pow_p(0.5 + x1, p, slope), _log_m_pow_p(0.5 + x2, p, slope)
+    live = hi - lo > REFINE_TOL
+    while live.any():
+        # A left step keeps [lo, x2] and probes below x1; a right step keeps
+        # [x1, hi] and probes above x2.
+        left = live & (f1 >= f2)
+        right = live & ~left
+        hi = np.where(left, x2, hi)
+        lo = np.where(right, x1, lo)
+        step = _INV_PHI * (hi - lo)
+        probe = np.where(left, hi - step, lo + step)
+        f_probe = _log_m_pow_p(0.5 + probe, p, slope)
+        x1, x2 = (
+            np.where(left, probe, np.where(right, x2, x1)),
+            np.where(right, probe, np.where(left, x1, x2)),
+        )
+        f1, f2 = (
+            np.where(left, f_probe, np.where(right, f2, f1)),
+            np.where(right, f_probe, np.where(left, f1, f2)),
+        )
+        live = hi - lo > REFINE_TOL
+    t_best = np.where(f1 >= f2, x1, x2)
+    grid_wins = best_f > np.where(f1 >= f2, f1, f2)
+    t_best = np.where(grid_wins, _TS[best_i], t_best)
+    return [_witness_at(0.5 + t, p, theta) for t, theta in zip(t_best.tolist(), thetas)]
+
+
+def family_max(p: float, theta: float) -> QubitWitness:
+    """``family_maxima`` at a single theta."""
+    return family_maxima(p, [theta])[0]
 
 
 def find_counterexample(p: float, theta: float, tol: float) -> QubitWitness | None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +29,8 @@ from .qubitfamily import (
     alpha,
     alpha1,
     delta,
+    family_max,
+    family_maxima,
     family_value,
     m_closed,
     optimal_ab,
@@ -527,6 +529,29 @@ def check_embedded_action_match(seed: int) -> CheckResult:
         errs.append(np.abs(emap.u_action(e21) - s * (e12 / d + e21)).max())
     err = _worst(errs)
     return CheckResult("qubitfamily.embedded_action_match", err <= 1e-10, f"max abs err {err:.2e}")
+
+
+def check_family_batch_determinism(seed: int) -> CheckResult:
+    # every cell of a family_maxima stack, rerun alone, must come out bit for
+    # bit the same: a cell's witness may not depend on its row.  The fixed
+    # cells take their argmax at the edge of the scan (p = 1.2, theta = 0.9;
+    # p = 1, theta = 0).
+    rng = _rng(seed, 31)
+    ps = [1.0, 1.2] + [float(p) for p in rng.uniform(1.0, 2.0, 3)]
+    thetas = [0.0, 0.5, 0.9, 1.0] + [float(t) for t in rng.uniform(0.0, 1.0, 8)]
+    cells = mismatched = 0
+    for p in ps:
+        for theta, w in zip(thetas, family_maxima(p, thetas)):
+            alone = family_max(p, theta)
+            cells += 1
+            mismatched += any(
+                float(x).hex() != float(y).hex() for x, y in zip(astuple(w), astuple(alone))
+            )
+    return CheckResult(
+        "qubitfamily.batch_determinism",
+        mismatched == 0,
+        f"{mismatched} of {cells} cells differ when run alone",
+    )
 
 
 # ---------------------------------------------------------------------------

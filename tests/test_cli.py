@@ -129,6 +129,20 @@ def test_phase_diagram_floats_round_trip():
     assert thetas == [0.0 + k * 0.3 for k in range(4)]
 
 
+def test_phase_diagram_grid_stops_at_theta_one(tmp_path):
+    # the step count allows a 1e-9 step of overshoot; the last theta is
+    # capped at 1 instead of landing at 1.00000000016667 and being refused
+    out = tmp_path / "grid.csv"
+    code = cli.main(
+        ["phase-diagram", "--p-min", "1.5", "--p-max", "1.5", "--p-step", "0.1",
+         "--theta-step", "0.33333333338889", "--with-family", "--out", str(out)]
+    )
+    assert code == cli.EXIT_OK
+    lines = out.read_text().strip().split("\n")
+    assert len(lines) == 5
+    assert float(lines[-1].split(",")[1]) == 1.0
+
+
 def test_phase_diagram_rejects_seed_flag():
     # the sweep draws nothing at random, so it takes no seed
     with pytest.raises(SystemExit) as exc:

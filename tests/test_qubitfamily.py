@@ -1,4 +1,5 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from nclp.qubitfamily import (
     alpha1,
     delta,
     family_max,
+    family_maxima,
     family_value,
     find_counterexample,
     m_closed,
@@ -202,6 +204,42 @@ def test_witness_invariants():
     assert w.m_value == pytest.approx(family_value(w.c, p, theta, w.a, w.b), abs=1e-12)
 
 
+# (c, a, b, m_value) as float.hex, recorded (numpy 2.4.6, x86-64) from the
+# one-theta scan before it ran as a stack: p = 1, argmax at the scan's edge
+# (c = 0.999 or 0.001), interior optima, theta = 1/2 and p = 1.99.
+FAMILY_MAX_BITS = {
+    (1.0, 0.0): ("0x1.ff7ced916872bp-1", "0x1.0000000000000p+0", "0x0.0p+0",
+                 "0x1.f9b61d0237251p+4"),
+    (1.0, 0.3): ("0x1.7bac1b8b06fc5p-1", "0x1.0000000000000p+0", "0x0.0p+0",
+                 "0x1.1aeb03e8a570bp+0"),
+    (1.2, 0.9): ("0x1.0624dd2f1aa00p-10", "0x1.fffffffffe285p-1", "0x1.b9461af1b9bfep-34",
+                 "0x1.95a429c9bafa2p+1"),
+    (1.5, 0.14): ("0x1.15a65d8497654p-2", "0x1.57383d99c1accp-2", "0x1.bb6a0569e0b80p-1",
+                  "0x1.0083feea49639p+0"),
+    (1.5, 0.5): ("0x1.ffffff72d01a0p-2", "0x1.428a2f98d728bp-1", "0x1.428a2f98d728bp-1",
+                 "0x1.0000000000000p+0"),
+    (1.5, 0.95): ("0x1.ff7ced916872bp-1", "0x1.07b4c2d7478c4p-12", "0x1.ffffa6c8e2805p-1",
+                  "0x1.fee7b2912379ep+0"),
+    (1.99, 0.0): ("0x1.0624dd2f1aa00p-10", "0x1.ebaae1e48ba15p-6", "0x1.ffc28e048eaa4p-1",
+                  "0x1.0478fa9f72ba3p+0"),
+    (1.99, 0.7): ("0x1.ffffff72e45f6p-2", "0x1.6968a0d4fa914p-1", "0x1.6968a0ac883e7p-1",
+                  "0x1.fffffffffffffp-1"),
+}
+
+
+def _bits(w):
+    return tuple(float(x).hex() for x in astuple(w))
+
+
+def test_family_max_bits_alone_and_stacked():
+    for (p, theta), want in FAMILY_MAX_BITS.items():
+        assert _bits(family_max(p, theta)) == want, (p, theta)
+    for p in sorted({p for p, _ in FAMILY_MAX_BITS}):
+        thetas = [theta for q, theta in FAMILY_MAX_BITS if q == p]
+        got = [_bits(w) for w in family_maxima(p, thetas)]
+        assert got == [FAMILY_MAX_BITS[p, theta] for theta in thetas], p
+
+
 def test_counterexample_p1_theta0():
     w = find_counterexample(1.0, 0.0, 1e-6)
     assert w is not None
@@ -243,3 +281,13 @@ def test_find_counterexample_validates_input():
         find_counterexample(1.5, 0.5, 0.0)
     with pytest.raises(ValueError):
         find_counterexample(1.5, 1.5, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "p, thetas",
+    [(2.0, [0.5]), (0.9, [0.5]), (math.nan, [0.5]), (1.5, [0.5, 1.5]), (1.5, [-0.1]),
+     (1.5, [0.2, math.nan])],
+)
+def test_family_maxima_validates_input(p, thetas):
+    with pytest.raises(ValueError):
+        family_maxima(p, thetas)
