@@ -6,7 +6,9 @@ objective ||U(Y)||_p is non-decreasing along the iteration, so every reported
 value is achieved by its witness and is therefore a sound lower bound.  All
 starts advance together as one (k, n, n) stack at two batched SVDs per
 iteration, and every step is taken matrix by matrix, so a start's result does
-not depend on the batch it runs in.
+not depend on the batch it runs in.  At p = 2 no ascent runs: S^2 is a Hilbert
+space, so the norm is sigma_max of the action matrix, attained at its top
+right singular vector.
 """
 
 from __future__ import annotations
@@ -16,12 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cpmap import SuperOperator, _matrix_units
+from .cpmap import SuperOperator, _matrix_units, unvec
 from .matcore import _as_matrix, _norm_and_dual, _norms, schatten_norm
 
 DEFAULT_SEED = 0xC0FFEE
 # Ginibre restarts per estimate unless the caller asks for another number.
 RESTARTS = 32
+# Largest number of Ginibre restarts accepted: every start is drawn before the
+# ascent runs, so time and memory grow linearly with the request.
+MAX_RESTARTS = 1024
 # Number of anti-diagonal probe witnesses used for 2x2 maps.
 ANTIDIAG_PROBES = 17
 # An ascent stops once one step changes the objective by at most this, relatively.
@@ -33,7 +38,12 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Witness-certified lower bound: ||witness||_p = 1, ||U(witness)||_p = value."""
+    """Witness-certified lower bound: ||witness||_p = 1, ||U(witness)||_p = value.
+
+    ``iterations`` and ``converged`` describe the winning start's ascent and
+    ``restarts_used`` counts every start.  At p = 2 the value is the exact
+    norm and no start ascends: they read 0, True and 0.
+    """
 
     value: float
     witness: np.ndarray
@@ -165,14 +175,17 @@ def _ginibre(n: int, seed: int, index: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
 
-def _start_stack(n: int, p: float, restarts: int, seed: int, starts) -> np.ndarray:
-    """The (k, n, n) stack of unit-norm starts, in the order of :func:`estimate_norm`."""
-    stack = []
+def _user_starts(n: int, p: float, starts) -> list[np.ndarray]:
+    """Caller-supplied starts, each checked to be a nonzero n x n matrix, at unit p-norm."""
     user = [_as_matrix(s) for s in starts]
     if any(s.shape != (n, n) for s in user):
         raise ValueError(f"every start must be {n}x{n}")
-    if user:
-        stack.extend(_normalize(np.stack(user), p))
+    return list(_normalize(np.stack(user), p)) if user else []
+
+
+def _start_stack(n: int, p: float, restarts: int, seed: int, starts) -> np.ndarray:
+    """The (k, n, n) stack of unit-norm starts, in the order of :func:`estimate_norm`."""
+    stack = _user_starts(n, p, starts)
     stack.extend(_matrix_units(n))
     if n == 2:
         stack.extend(_antidiagonal_probes(p))
@@ -192,13 +205,29 @@ def estimate_norm(
 
     Starts are, in order: caller-supplied ``starts`` (normalized), all matrix
     units, anti-diagonal probes when the map acts on M_2, then ``restarts``
-    Ginibre draws keyed by (``seed``, restart index).  All of them ascend as
-    one batch; the earliest start with the maximum value wins.
+    Ginibre draws keyed by (``seed``, restart index), at most MAX_RESTARTS.
+    All of them ascend as one batch; the earliest start with the maximum
+    value wins.
+
+    At p = 2 the value is exact: one SVD of the action matrix gives the
+    witness, its top right singular vector.  ``starts`` are still checked,
+    but they, ``restarts`` and ``seed`` do not change the result.
     """
     if not (1.0 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
+    if not (1 <= restarts <= MAX_RESTARTS):
+        raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
+    if p == 2.0:
+        _user_starts(u.dim, p, starts)
+        top = np.linalg.svd(u.action_matrix)[2][0].conj()
+        witness = _normalize(unvec(top, u.dim)[None], p)[0]
+        return NormEstimate(
+            value=schatten_norm(u(witness), p),
+            witness=witness,
+            iterations=0,
+            restarts_used=0,
+            converged=True,
+        )
     ys = _start_stack(u.dim, p, restarts, seed, starts)
     run = _ascend(u.action_matrix, p, ys)
     best = int(np.argmax(run.values))

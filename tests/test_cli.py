@@ -220,6 +220,16 @@ def test_norm_qubit_at_p2(tmp_path):
     assert code == 0
     assert report["lower_bound"] == pytest.approx(1.0, abs=1e-6)
     assert report["upper_bound"] == pytest.approx(1.0, abs=1e-6)
+    fields = (report["iterations"], report["converged"], report["restarts_used"])
+    assert fields == (0, True, 0)
+
+
+def test_norm_refuses_restarts_beyond_ceiling(tmp_path, capsys):
+    code, _ = run_norm(
+        tmp_path, QUBIT_MAP_06, QUBIT_STATE_06, ["--p", "1.5", "--theta", "0", "--restarts", "1025"]
+    )
+    assert_refused(code, capsys)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_norm_half_theta_upper_bound(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from nclp.cpmap import SuperOperator
 from nclp.embed import build_embedded
 from nclp.matcore import dual_element, schatten_norm
-from nclp.normest import estimate_norm
+from nclp.normest import MAX_RESTARTS, estimate_norm
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre
 
@@ -47,17 +47,30 @@ def test_estimate_rejects_bad_p():
         estimate_norm(t, math.inf)
 
 
-def test_starts_must_match_the_map():
+def test_p2_is_exact_without_ascent():
+    t = SuperOperator(_ginibre(RNG, 9))
+    est = estimate_norm(t, 2.0)
+    assert (est.iterations, est.converged, est.restarts_used) == (0, True, 0)
+    assert abs(schatten_norm(est.witness, 2.0) - 1.0) <= 1e-12
+    assert schatten_norm(t(est.witness), 2.0) == est.value
+    assert est.value == pytest.approx(np.linalg.norm(t.action_matrix, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_starts_must_match_the_map(p):
     t = SuperOperator.identity(2)
     with pytest.raises(ValueError):
-        estimate_norm(t, 1.5, restarts=1, starts=[np.eye(3)])
+        estimate_norm(t, p, restarts=1, starts=[np.eye(3)])
     with pytest.raises(ValueError):
-        estimate_norm(t, 1.5, restarts=1, starts=[np.zeros((2, 2))])
+        estimate_norm(t, p, restarts=1, starts=[np.zeros((2, 2))])
 
 
-def test_config_validation():
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_config_validation(p):
     with pytest.raises(ValueError, match="restarts"):
-        estimate_norm(SuperOperator.identity(2), 1.5, restarts=0)
+        estimate_norm(SuperOperator.identity(2), p, restarts=0)
+    with pytest.raises(ValueError, match="restarts"):
+        estimate_norm(SuperOperator.identity(2), p, restarts=MAX_RESTARTS + 1)
 
 
 # ---------------------------------------------------------------------------
