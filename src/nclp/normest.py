@@ -3,18 +3,20 @@
 The estimator alternates between the norming element of U(Y) in the dual
 space and the norming element of the back-propagated direction U^+(Z); the
 objective ||U(Y)||_p is non-decreasing along the iteration, so every reported
-value is achieved by its witness and is therefore a sound lower bound.  All
-starts advance together as one (k, n, n) stack at two batched SVDs per
-iteration, and every step is taken matrix by matrix, so a start's result does
-not depend on the batch it runs in.  At p = 2 no ascent runs: S^2 is a Hilbert
-space, so the norm is sigma_max of the action matrix, attained at its top
-right singular vector.
+value is achieved by its witness and is therefore a sound lower bound.  The
+deterministic starts ascend with the first WAVE Ginibre draws, and each later
+wave of WAVE draws runs only while the one before it raised the best value.
+A wave advances as one (k, n, n) stack at two batched SVDs per iteration, and
+every step is taken matrix by matrix, so a start's result does not depend on
+the batch it runs in.  At p = 2 no ascent runs: S^2 is a Hilbert space, so the
+norm is sigma_max of the action matrix, attained at its top right singular
+vector.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,11 +24,13 @@ from .cpmap import SuperOperator, _matrix_units, unvec
 from .matcore import _as_matrix, _norm_and_dual, _norms, schatten_norm
 
 DEFAULT_SEED = 0xC0FFEE
-# Ginibre restarts per estimate unless the caller asks for another number.
+# Cap on the Ginibre restarts per estimate unless the caller asks for another.
 RESTARTS = 32
-# Largest number of Ginibre restarts accepted: every start is drawn before the
-# ascent runs, so time and memory grow linearly with the request.
+# Largest cap accepted.  Only the waves that run are drawn, but a map on which
+# every wave improves draws them all, so time and memory grow linearly with it.
 MAX_RESTARTS = 1024
+# Ginibre starts per wave; the first wave ascends with the deterministic starts.
+WAVE = 8
 # Number of anti-diagonal probe witnesses used for 2x2 maps.
 ANTIDIAG_PROBES = 17
 # An ascent stops once one step changes the objective by at most this, relatively.
@@ -41,8 +45,9 @@ class NormEstimate:
     """Witness-certified lower bound: ||witness||_p = 1, ||U(witness)||_p = value.
 
     ``iterations`` and ``converged`` describe the winning start's ascent and
-    ``restarts_used`` counts every start.  At p = 2 the value is the exact
-    norm and no start ascends: they read 0, True and 0.
+    ``restarts_used`` counts the starts that ran: the deterministic ones plus
+    the Ginibre draws of every wave that ran.  At p = 2 the value is the
+    exact norm and no start ascends: they read 0, True and 0.
     """
 
     value: float
@@ -183,14 +188,42 @@ def _user_starts(n: int, p: float, starts) -> list[np.ndarray]:
     return list(_normalize(np.stack(user), p)) if user else []
 
 
+def _draws(n: int, p: float, seed: int, lo: int, hi: int) -> np.ndarray:
+    """Ginibre draws lo..hi-1 keyed by ``seed``, each at unit p-norm."""
+    return _normalize(np.stack([_ginibre(n, seed, k) for k in range(lo, hi)]), p)
+
+
 def _start_stack(n: int, p: float, restarts: int, seed: int, starts) -> np.ndarray:
     """The (k, n, n) stack of unit-norm starts, in the order of :func:`estimate_norm`."""
     stack = _user_starts(n, p, starts)
     stack.extend(_matrix_units(n))
     if n == 2:
         stack.extend(_antidiagonal_probes(p))
-    stack.extend(_normalize(np.stack([_ginibre(n, seed, k) for k in range(restarts)]), p))
-    return np.stack(stack)
+    return np.concatenate([np.stack(stack), _draws(n, p, seed, 0, restarts)])
+
+
+def _waves(
+    u: SuperOperator, p: float, restarts: int, seed: int, starts
+) -> tuple[np.ndarray, _Batch]:
+    """The starts that ran, in order, and their :class:`_Batch` of results.
+
+    The first batch is :func:`_start_stack` with at most WAVE draws.  Each
+    later wave ascends the next WAVE draws, up to ``restarts`` in all, and
+    runs only while the wave before it raised the best value by more than
+    REL_TOL relative.
+    """
+    first = min(restarts, WAVE)
+    ys = [_start_stack(u.dim, p, first, seed, starts)]
+    runs = [_ascend(u.action_matrix, p, ys[0])]
+    before, best = runs[0].values[: len(ys[0]) - first].max(), runs[0].values.max()
+    for lo in range(WAVE, restarts, WAVE):
+        if best - before <= REL_TOL * max(before, 1e-30):
+            break
+        ys.append(_draws(u.dim, p, seed, lo, min(lo + WAVE, restarts)))
+        runs.append(_ascend(u.action_matrix, p, ys[-1]))
+        before, best = best, max(best, runs[-1].values.max())
+    joined = (np.concatenate([getattr(r, f.name) for r in runs]) for f in fields(_Batch))
+    return np.concatenate(ys), _Batch(*joined)
 
 
 def estimate_norm(
@@ -204,10 +237,15 @@ def estimate_norm(
     """Best witness value of the dual ascent over deterministic and random starts.
 
     Starts are, in order: caller-supplied ``starts`` (normalized), all matrix
-    units, anti-diagonal probes when the map acts on M_2, then ``restarts``
-    Ginibre draws keyed by (``seed``, restart index), at most MAX_RESTARTS.
-    All of them ascend as one batch; the earliest start with the maximum
-    value wins.
+    units, anti-diagonal probes when the map acts on M_2, then at most
+    ``restarts`` Ginibre draws keyed by (``seed``, restart index), with
+    ``restarts`` at most MAX_RESTARTS and ``seed`` in [0, 2**128).  The
+    deterministic starts ascend in one batch with draws 0..WAVE-1; each
+    later wave ascends the next WAVE draws, and runs only while the wave
+    before it raised the best value by more than REL_TOL relative.  So
+    ``restarts`` is a cap, and ``restarts_used`` counts the starts that ran.
+    A start's result does not depend on its wave, and the earliest start
+    with the maximum value wins.
 
     At p = 2 the value is exact: one SVD of the action matrix gives the
     witness, its top right singular vector.  ``starts`` are still checked,
@@ -217,6 +255,8 @@ def estimate_norm(
         raise ValueError(f"p must lie in [1, inf), got {p}")
     if not (1 <= restarts <= MAX_RESTARTS):
         raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
+    if not (0 <= seed < 2**128):
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
     if p == 2.0:
         _user_starts(u.dim, p, starts)
         top = np.linalg.svd(u.action_matrix)[2][0].conj()
@@ -228,8 +268,7 @@ def estimate_norm(
             restarts_used=0,
             converged=True,
         )
-    ys = _start_stack(u.dim, p, restarts, seed, starts)
-    run = _ascend(u.action_matrix, p, ys)
+    ys, run = _waves(u, p, restarts, seed, starts)
     best = int(np.argmax(run.values))
     witness = _normalize(run.witnesses[best:best + 1], p)[0]
     value = schatten_norm(u(witness), p)

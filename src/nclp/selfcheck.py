@@ -366,38 +366,52 @@ def check_determinism(seed: int) -> CheckResult:
 
 
 def check_batch_determinism(seed: int) -> CheckResult:
-    # every start of an estimate_norm batch, rerun alone, must come out bit
-    # for bit the same: a start's result may not depend on its batch
+    # every start that estimate_norm ran, rerun alone, must come out bit for
+    # bit the same: a start's result may not depend on its batch or its wave
     rng = _rng(seed, 30)
-    starts = mismatched = 0
-    linked = True
+    cases = []
     for n in (2, 3, 4):
         for p in (1.0, 1.5, 3.0):
             emap = build_embedded(
                 _random_cp_map(rng, n), _random_state(rng, n), p, float(rng.uniform(0, 1))
             )
-            u = emap.u_action
-            ys = normest._start_stack(n, p, 8, seed, ())
-            batch = normest._ascend(u.action_matrix, p, ys)
-            est = estimate_norm(u, p, restarts=8, seed=seed)
-            best = int(np.argmax(batch.values))
-            linked = linked and (est.iterations, est.converged) == (
-                batch.iterations[best], batch.converged[best]
+            cases.append((emap.u_action, p, 8))
+    # the Schur multiplier by a 4x4 Hadamard matrix holds every matrix unit at
+    # value 1 while each Ginibre start climbs above it, so a second wave runs
+    h = np.kron([[1, 1], [1, -1]], [[1, 1], [1, -1]])
+    hadamard = SuperOperator.from_map(lambda e: h * e, 4)
+    cases.append((hadamard, 3.0, normest.RESTARTS))
+    starts = mismatched = waves = 0
+    linked = True
+    for u, p, restarts in cases:
+        ys, batch = normest._waves(u, p, restarts, seed, ())
+        est = estimate_norm(u, p, restarts=restarts, seed=seed)
+        # the starts that ran lead the one-batch start order
+        full = normest._start_stack(u.dim, p, restarts, seed, ())
+        in_order = np.array_equal(ys, full[: len(ys)])
+        best = int(np.argmax(batch.values))
+        winner = normest._normalize(batch.witnesses[best:best + 1], p)[0]
+        linked = linked and in_order and np.array_equal(est.witness, winner) and (
+            est.iterations, est.converged, est.restarts_used
+        ) == (batch.iterations[best], batch.converged[best], len(ys))
+        if u is hadamard:
+            waves = (len(ys) - 16) // normest.WAVE
+        for i, y0 in enumerate(ys):
+            alone = normest._ascend(u.action_matrix, p, y0[None])
+            starts += 1
+            mismatched += not (
+                alone.values[0] == batch.values[i]
+                and np.array_equal(alone.witnesses[0], batch.witnesses[i])
+                and alone.iterations[0] == batch.iterations[i]
+                and alone.converged[0] == batch.converged[i]
             )
-            for i, y0 in enumerate(ys):
-                alone = normest._ascend(u.action_matrix, p, y0[None])
-                starts += 1
-                mismatched += not (
-                    alone.values[0] == batch.values[i]
-                    and np.array_equal(alone.witnesses[0], batch.witnesses[i])
-                    and alone.iterations[0] == batch.iterations[i]
-                    and alone.converged[0] == batch.converged[i]
-                )
     return CheckResult(
         "normest.batch_determinism",
-        mismatched == 0 and linked,
+        mismatched == 0 and linked and waves > 1,
         f"{mismatched} of {starts} starts differ when run alone; "
-        f"estimate_norm reports its batch's best: {linked}",
+        f"the waves keep the start order and estimate_norm reports the earliest "
+        f"best start: {linked}; "
+        f"{waves} waves on the Hadamard multiplier",
     )
 
 

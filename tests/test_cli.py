@@ -232,6 +232,17 @@ def test_norm_refuses_restarts_beyond_ceiling(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("p", ["1.5", "2"])
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_norm_refuses_seed_outside_key_range(tmp_path, capsys, p, seed):
+    code, _ = run_norm(
+        tmp_path, QUBIT_MAP_06, QUBIT_STATE_06, ["--p", p, "--theta", "0", "--seed", seed]
+    )
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_norm_half_theta_upper_bound(tmp_path):
     code, report = run_norm(
         tmp_path, QUBIT_MAP_06, QUBIT_STATE_06, ["--p", "1.3", "--theta", "0.5", "--restarts", "4"]

@@ -6,7 +6,16 @@ import pytest
 from nclp.cpmap import SuperOperator
 from nclp.embed import build_embedded
 from nclp.matcore import dual_element, schatten_norm
-from nclp.normest import MAX_RESTARTS, estimate_norm
+from nclp.normest import (
+    DEFAULT_SEED,
+    MAX_ITERS,
+    MAX_RESTARTS,
+    WAVE,
+    _ascend,
+    _normalize,
+    _start_stack,
+    estimate_norm,
+)
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre
 
@@ -71,6 +80,55 @@ def test_config_validation(p):
         estimate_norm(SuperOperator.identity(2), p, restarts=0)
     with pytest.raises(ValueError, match="restarts"):
         estimate_norm(SuperOperator.identity(2), p, restarts=MAX_RESTARTS + 1)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError, match="seed"):
+            estimate_norm(SuperOperator.identity(2), p, seed=seed)
+
+
+# ---------------------------------------------------------------------------
+# the waves of Ginibre starts
+
+
+def _full_batch(u, p, restarts=32):
+    """The one-batch ascent over every start that a cap of ``restarts`` allows."""
+    ys = _start_stack(u.dim, p, restarts, DEFAULT_SEED, ())
+    return len(ys) - restarts, _ascend(u.action_matrix, p, ys)
+
+
+@pytest.mark.parametrize("restarts", [1, 4, WAVE])
+def test_one_wave_is_one_batch(restarts):
+    t = SuperOperator(_ginibre(np.random.default_rng([20240814, 1]), 9) / 3)
+    est = estimate_norm(t, 1.5, restarts=restarts)
+    fixed, run = _full_batch(t, 1.5, restarts)
+    best = int(np.argmax(run.values))
+    witness = _normalize(run.witnesses[best:best + 1], 1.5)[0]
+    assert np.array_equal(est.witness, witness)
+    assert est.value == schatten_norm(t(witness), 1.5)
+    assert (est.iterations, est.converged) == (run.iterations[best], run.converged[best])
+    assert est.restarts_used == fixed + restarts
+
+
+def test_second_wave_runs_after_wave_one_improves():
+    # a non-CP map on M_4 whose best start is Ginibre draw 3: wave 1 beats the
+    # deterministic starts by more than REL_TOL, and wave 2 improves nothing
+    t = SuperOperator(_ginibre(np.random.default_rng([20240814, 327]), 16) / 4)
+    est = estimate_norm(t, 3.0)
+    fixed, run = _full_batch(t, 3.0)
+    best = int(np.argmax(run.values))
+    assert est.restarts_used == fixed + 2 * WAVE
+    assert fixed <= best < fixed + WAVE
+    assert np.array_equal(est.witness, _normalize(run.witnesses[best:best + 1], 3.0)[0])
+
+
+def test_waves_stop_where_ginibre_starts_creep():
+    # near c = 1/2 every Ginibre start of this member runs to MAX_ITERS and none
+    # of them wins, so one wave is enough
+    emap = build_embedded(qubit_map(0.51), qubit_state(0.51), 1.5, 0.0)
+    est = estimate_norm(emap.u_action, 1.5)
+    fixed, run = _full_batch(emap.u_action, 1.5)
+    assert np.all(run.iterations[fixed:] == MAX_ITERS)
+    assert est.restarts_used == fixed + WAVE
+    assert est.value == pytest.approx(run.values.max(), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
