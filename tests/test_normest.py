@@ -10,6 +10,7 @@ from nclp.normest import (
     DEFAULT_SEED,
     MAX_ITERS,
     MAX_RESTARTS,
+    REL_TOL,
     WAVE,
     _ascend,
     _normalize,
@@ -118,6 +119,33 @@ def test_second_wave_runs_after_wave_one_improves():
     assert est.restarts_used == fixed + 2 * WAVE
     assert fixed <= best < fixed + WAVE
     assert np.array_equal(est.witness, _normalize(run.witnesses[best:best + 1], 3.0)[0])
+
+
+def test_a_later_wave_raises_the_value():
+    # near c = 1/2 the Ginibre starts creep to MAX_ITERS; on this member wave 2
+    # raises the best value by 6.9e-6 relative and wave 3 improves nothing, so
+    # one wave alone (restarts = WAVE) stops short by far more than REL_TOL
+    u = build_embedded(qubit_map(0.48), qubit_state(0.48), 1.25, 0.25).u_action
+    est = estimate_norm(u, 1.25)
+    fixed, run = _full_batch(u, 1.25)
+    best = int(np.argmax(run.values))
+    assert est.restarts_used == fixed + 3 * WAVE
+    assert fixed + WAVE <= best < fixed + 2 * WAVE
+    assert np.array_equal(est.witness, _normalize(run.witnesses[best:best + 1], 1.25)[0])
+    assert estimate_norm(u, 1.25, restarts=WAVE).value < est.value * (1.0 - 1e3 * REL_TOL)
+
+
+def test_waves_can_stop_short_of_a_later_creeping_start():
+    # a known loss (the FOUND line on wave stops in CHANGES.md): on this member
+    # wave 2 raises the best value by only 6e-11 relative, so the waves stop,
+    # but Ginibre draw 20 of wave 3 climbs 2.4e-10 relative higher
+    u = build_embedded(qubit_map(0.55), qubit_state(0.55), 1.25, 0.25).u_action
+    est = estimate_norm(u, 1.25)
+    fixed, run = _full_batch(u, 1.25)
+    assert est.restarts_used == fixed + 2 * WAVE
+    assert int(np.argmax(run.values)) == fixed + 20
+    assert est.value == pytest.approx(1.000808328508783, rel=1e-13)
+    assert run.values.max() == pytest.approx(1.0008083287472183, rel=1e-13)
 
 
 def test_waves_stop_where_ginibre_starts_creep():
