@@ -20,7 +20,7 @@ import numpy as np
 
 from .cpmap import State, SuperOperator, compatibility
 from .embed import build_embedded, classify_region, upper_bound
-from .normest import DEFAULT_SEED, RESTARTS, estimate_norm
+from .normest import DEFAULT_SEED, RESTARTS, _check_seed, estimate_norm
 from .qubitfamily import family_maxima, find_counterexample
 from .tensor import steps_to_exceed
 
@@ -271,6 +271,7 @@ def cmd_counterexample(args) -> int:
 def cmd_verify(args) -> int:
     from . import selfcheck  # deferred: selfcheck drives this module's CSV path
 
+    _check_seed(args.seed)
     results = selfcheck.run_all(args.seed)
     for res in results:
         print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: {res.detail}")

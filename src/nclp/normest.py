@@ -31,8 +31,6 @@ RESTARTS = 32
 MAX_RESTARTS = 1024
 # Ginibre starts per wave; the first wave ascends with the deterministic starts.
 WAVE = 8
-# Number of anti-diagonal probe witnesses used for 2x2 maps.
-ANTIDIAG_PROBES = 17
 # An ascent stops once one step changes the objective by at most this, relatively.
 REL_TOL = 1e-10
 # An ascent that has not converged stops after this many steps.
@@ -159,18 +157,10 @@ def _normalize(ys: np.ndarray, p: float) -> np.ndarray:
     return ys / norms[:, None, None]
 
 
-def _antidiagonal_probes(p: float) -> list[np.ndarray]:
-    """Anti-diagonal witnesses a E_12 + b E_21 with a^p + b^p = 1.
-
-    Counterexample families on 2x2 maps live on this plane, so it is always
-    probed when the map acts on M_2.
-    """
-    probes = []
-    for frac in np.linspace(0.0, 1.0, ANTIDIAG_PROBES):
-        a = float(frac) ** (1.0 / p)
-        b = float(1.0 - frac) ** (1.0 / p)
-        probes.append(np.array([[0.0, a], [b, 0.0]], dtype=complex))
-    return probes
+def _check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**128), the key range of the Ginibre draws."""
+    if not (0 <= seed < 2**128):
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
 
 
 def _ginibre(n: int, seed: int, index: int) -> np.ndarray:
@@ -180,12 +170,13 @@ def _ginibre(n: int, seed: int, index: int) -> np.ndarray:
     return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
 
 
-def _user_starts(n: int, p: float, starts) -> list[np.ndarray]:
-    """Caller-supplied starts, each checked to be a nonzero n x n matrix, at unit p-norm."""
+def _user_starts(n: int, p: float, starts) -> np.ndarray:
+    """The (k, n, n) stack of caller-supplied starts, each checked to be a nonzero
+    n x n matrix, at unit p-norm; empty when there are none."""
     user = [_as_matrix(s) for s in starts]
     if any(s.shape != (n, n) for s in user):
         raise ValueError(f"every start must be {n}x{n}")
-    return list(_normalize(np.stack(user), p)) if user else []
+    return _normalize(np.stack(user), p) if user else np.empty((0, n, n), dtype=complex)
 
 
 def _draws(n: int, p: float, seed: int, lo: int, hi: int) -> np.ndarray:
@@ -195,11 +186,9 @@ def _draws(n: int, p: float, seed: int, lo: int, hi: int) -> np.ndarray:
 
 def _start_stack(n: int, p: float, restarts: int, seed: int, starts) -> np.ndarray:
     """The (k, n, n) stack of unit-norm starts, in the order of :func:`estimate_norm`."""
-    stack = _user_starts(n, p, starts)
-    stack.extend(_matrix_units(n))
-    if n == 2:
-        stack.extend(_antidiagonal_probes(p))
-    return np.concatenate([np.stack(stack), _draws(n, p, seed, 0, restarts)])
+    return np.concatenate(
+        [_user_starts(n, p, starts), _matrix_units(n), _draws(n, p, seed, 0, restarts)]
+    )
 
 
 def _waves(
@@ -236,16 +225,15 @@ def estimate_norm(
 ) -> NormEstimate:
     """Best witness value of the dual ascent over deterministic and random starts.
 
-    Starts are, in order: caller-supplied ``starts`` (normalized), all matrix
-    units, anti-diagonal probes when the map acts on M_2, then at most
-    ``restarts`` Ginibre draws keyed by (``seed``, restart index), with
-    ``restarts`` at most MAX_RESTARTS and ``seed`` in [0, 2**128).  The
-    deterministic starts ascend in one batch with draws 0..WAVE-1; each
-    later wave ascends the next WAVE draws, and runs only while the wave
-    before it raised the best value by more than REL_TOL relative.  So
-    ``restarts`` is a cap, and ``restarts_used`` counts the starts that ran.
-    A start's result does not depend on its wave, and the earliest start
-    with the maximum value wins.
+    Starts are, in order and the same at every n: caller-supplied ``starts``
+    (normalized), the n^2 matrix units, then at most ``restarts`` Ginibre
+    draws keyed by (``seed``, restart index), with ``restarts`` at most
+    MAX_RESTARTS and ``seed`` in [0, 2**128).  The deterministic starts
+    ascend in one batch with draws 0..WAVE-1; each later wave ascends the
+    next WAVE draws, and runs only while the wave before it raised the best
+    value by more than REL_TOL relative.  So ``restarts`` is a cap, and
+    ``restarts_used`` counts the starts that ran.  A start's result does not
+    depend on its wave, and the earliest start with the maximum value wins.
 
     At p = 2 the value is exact: one SVD of the action matrix gives the
     witness, its top right singular vector.  ``starts`` are still checked,
@@ -255,8 +243,7 @@ def estimate_norm(
         raise ValueError(f"p must lie in [1, inf), got {p}")
     if not (1 <= restarts <= MAX_RESTARTS):
         raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
-    if not (0 <= seed < 2**128):
-        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    _check_seed(seed)
     if p == 2.0:
         _user_starts(u.dim, p, starts)
         top = np.linalg.svd(u.action_matrix)[2][0].conj()

@@ -447,7 +447,7 @@ def check_family_consistency(seed: int) -> CheckResult:
         free = estimate_norm(emap.u_action, p, restarts=8, seed=seed).value
         witness = np.array([[0, a], [b, 0]], dtype=complex)
         seeded = estimate_norm(emap.u_action, p, restarts=8, seed=seed, starts=[witness]).value
-        ok = ok and fam <= free + 1e-8 and seeded >= fam - 1e-10
+        ok = ok and fam <= free * (1.0 + 1e-12) and seeded >= fam * (1.0 - 1e-12)
         details.append(f"fam {fam:.6f} est {free:.6f}")
     return CheckResult("qubitfamily.consistency_with_estimator", ok, "; ".join(details))
 

@@ -474,6 +474,20 @@ def test_verify_report_file(monkeypatch, tmp_path):
     assert report["checks"][0]["name"] == "fake.check"
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_verify_refuses_seed_outside_key_range_before_any_check(monkeypatch, capsys, seed):
+    from nclp import selfcheck
+
+    # a check that ran would print its PASS line
+    passing = [selfcheck.CheckResult("fake.check", True, "ok")]
+    monkeypatch.setattr(selfcheck, "run_all", lambda _seed: passing)
+    code = cli.main(["verify", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_INVALID_INPUT
+    assert "seed" in captured.err
+    assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
 def test_verify_checks_are_deterministic():
     # representative draw-heavy checks repeated with the same seed
     from nclp import selfcheck

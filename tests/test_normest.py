@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.cpmap import SuperOperator
+from nclp.cpmap import SuperOperator, _matrix_units
 from nclp.embed import build_embedded
 from nclp.matcore import dual_element, schatten_norm
 from nclp.normest import (
@@ -13,6 +13,7 @@ from nclp.normest import (
     REL_TOL,
     WAVE,
     _ascend,
+    _draws,
     _normalize,
     _start_stack,
     estimate_norm,
@@ -88,6 +89,21 @@ def test_config_validation(p):
 
 # ---------------------------------------------------------------------------
 # the waves of Ginibre starts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_start_set_is_the_same_at_every_n(n):
+    # the caller's starts, the n^2 matrix units, then the Ginibre draws:
+    # no start kind is added or dropped at any n
+    starts = [np.eye(n), np.diag(np.arange(1.0, n + 1))]
+    stack = _start_stack(n, 1.5, 5, 7, starts)
+    user = _normalize(np.stack(starts).astype(complex), 1.5)
+    expected = np.concatenate([user, _matrix_units(n), _draws(n, 1.5, 7, 0, 5)])
+    assert np.array_equal(stack, expected)
+    t = SuperOperator(_ginibre(np.random.default_rng([20240814, n]), n * n) / n)
+    for restarts in (1, WAVE):
+        est = estimate_norm(t, 1.5, restarts=restarts, seed=7, starts=starts)
+        assert est.restarts_used == len(starts) + n * n + min(restarts, WAVE)
 
 
 def _full_batch(u, p, restarts=32):
