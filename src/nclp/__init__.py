@@ -34,18 +34,14 @@ from .qubitfamily import (
     family_max,
     family_maxima,
     family_value,
+    family_witness,
     find_counterexample,
-    m_closed,
     optimal_ab,
     qubit_map,
     qubit_state,
     theta_thresholds,
 )
-from .tensor import (
-    choi_shuffle_permutation,
-    kron_state,
-    kron_superop,
-)
+from .tensor import kron_state, kron_superop
 
 __version__ = "0.1.0"
 
@@ -63,7 +59,6 @@ __all__ = [
     "alpha",
     "alpha1",
     "build_embedded",
-    "choi_shuffle_permutation",
     "classify_region",
     "compatibility",
     "delta",
@@ -73,11 +68,11 @@ __all__ = [
     "family_max",
     "family_maxima",
     "family_value",
+    "family_witness",
     "find_counterexample",
     "is_completely_positive",
     "kron_state",
     "kron_superop",
-    "m_closed",
     "optimal_ab",
     "qubit_map",
     "qubit_state",

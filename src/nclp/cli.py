@@ -68,16 +68,6 @@ def decode_matrix(obj) -> np.ndarray:
     return np.array([[_decode_entry(e) for e in row] for row in obj], dtype=complex)
 
 
-def encode_superop(t: SuperOperator, kind: str = "action") -> dict:
-    if kind == "action":
-        data = t.action_matrix
-    elif kind == "choi":
-        data = t.choi
-    else:
-        raise ValueError(f"unknown superoperator kind {kind!r}")
-    return {"dim": t.dim, "kind": kind, "data": encode_matrix(data)}
-
-
 def _positive_dim(dim, what: str) -> int:
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise ValueError(f"{what} dim must be a positive integer, got {dim!r}")
@@ -269,7 +259,9 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import selfcheck  # deferred: selfcheck drives this module's CSV path
+    # deferred: only verify runs the check suite, and importing it at the top
+    # would add its load time and memory to every other subcommand
+    from . import selfcheck
 
     _check_seed(args.seed)
     results = selfcheck.run_all(args.seed)

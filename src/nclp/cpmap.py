@@ -68,7 +68,7 @@ class State:
 class SuperOperator:
     """Linear map M_n -> M_n stored as its n^2 x n^2 action on vec(X)."""
 
-    __slots__ = ("dim", "action_matrix", "_choi")
+    __slots__ = ("dim", "action_matrix")
 
     def __init__(self, action_matrix):
         m = _as_matrix(action_matrix)
@@ -80,7 +80,6 @@ class SuperOperator:
         m.setflags(write=False)
         self.dim = n
         self.action_matrix = m
-        self._choi = None
 
     @classmethod
     def identity(cls, dim: int) -> "SuperOperator":
@@ -114,11 +113,7 @@ class SuperOperator:
     @property
     def choi(self) -> np.ndarray:
         """Block matrix with (i, j) block equal to T(E_ij)."""
-        if self._choi is None:
-            c = _reshuffle(self.action_matrix, self.dim)
-            c.setflags(write=False)
-            self._choi = c
-        return self._choi
+        return _reshuffle(self.action_matrix, self.dim)
 
     def __call__(self, x) -> np.ndarray:
         m = _as_matrix(x)

@@ -11,9 +11,9 @@ has a closed form, and maximizing it over the family parameter certifies
 induced norms strictly above 1 for p < 2 and theta outside the interval
 [theta0, theta1] = [(1 - sqrt(p-1))/2, (1 + sqrt(p-1))/2].
 
-Scale convention: ``family_value`` and ``m_closed`` return norm-scale values
-(the p-th root of the closed-form p-th power); the quadratic-coefficient
-checks against ``alpha`` apply the p-th power first.
+Scale convention: ``family_value`` and the ``m_value`` of ``family_witness``
+are norm-scale values (the p-th root of the closed-form p-th power); the
+quadratic-coefficient checks against ``alpha`` apply the p-th power first.
 """
 
 from __future__ import annotations
@@ -46,6 +46,11 @@ def _check_c(c: float):
         raise ValueError(f"family parameter must lie in (0, 1), got {c}")
 
 
+def _check_p_theta(p: float, theta: float):
+    if not (1.0 <= p < math.inf and 0.0 <= theta <= 1.0):
+        raise ValueError(f"need finite p >= 1 and theta in [0, 1], got ({p}, {theta})")
+
+
 def qubit_state(c: float) -> State:
     """diag(1-c, c) as a faithful state on M_2."""
     _check_c(c)
@@ -68,20 +73,20 @@ def qubit_map(c: float) -> SuperOperator:
 def delta(c: float, p: float, theta: float) -> float:
     """Anti-diagonal weight ((1-c)/c)^((2 theta - 1)/p)."""
     _check_c(c)
-    if not (p >= 1.0 and 0.0 <= theta <= 1.0):
-        raise ValueError(f"need p >= 1 and theta in [0, 1], got ({p}, {theta})")
+    _check_p_theta(p, theta)
     return float(math.exp((2.0 * theta - 1.0) / p * math.log((1.0 - c) / c)))
 
 
 def optimal_ab(delta_value: float, p: float) -> tuple[float, float]:
     """Maximizing pair a = (d^q/(1+d^q))^(1/p), b = (1/(1+d^q))^(1/p), q conjugate.
 
-    Only defined for p > 1; at p = 1 callers use the endpoint pair (1, 0).
+    Only defined for finite p > 1; at p = 1 ``family_witness`` uses the
+    endpoint pair (1, 0).
     """
-    if not p > 1.0:
-        raise ValueError(f"optimal pair requires p > 1, got {p}")
-    if not delta_value > 0.0:
-        raise ValueError(f"delta must be positive, got {delta_value}")
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"optimal pair requires finite p > 1, got {p}")
+    if not 0.0 < delta_value < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta_value}")
     q = p / (p - 1.0)
     # log(1 + d^q) computed stably for extreme q * log(d).
     log_denom = np.logaddexp(q * math.log(delta_value), 0.0)
@@ -97,18 +102,18 @@ def family_value(c: float, p: float, theta: float, a: float, b: float) -> float:
     d = delta(c, p, theta); a certified lower bound for the induced norm
     when a^p + b^p = 1.
     """
-    if a < 0 or b < 0:
-        raise ValueError("witness coefficients must be non-negative")
+    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
+        raise ValueError(f"witness coefficients must be finite and >= 0, got ({a}, {b})")
     d = delta(c, p, theta)
     base = (c * (1.0 - c)) ** (p / 2.0) * ((a + b / d) ** p + (a * d + b) ** p)
     return float(base ** (1.0 / p))
 
 
 def _log_pow_p(log_ratio, log_cc, p: float, slope):
-    """log of the p-th power of the family maximum over anti-diagonal
-    witnesses at the module's (a, b) selection, from log((1-c)/c),
-    log(c(1-c)) and slope = (2 theta - 1)/p, the exponent of
-    d = ((1-c)/c)^slope; broadcasts over all three."""
+    """log of the p-th power of ``family_witness(c, p, theta).m_value``, the
+    objective of the family scan, from log((1-c)/c), log(c(1-c)) and
+    slope = (2 theta - 1)/p, the exponent of d = ((1-c)/c)^slope;
+    broadcasts over all three."""
     log_d = slope * log_ratio
     if p == 1.0:
         return 0.5 * log_cc + np.log1p(np.exp(log_d))
@@ -126,22 +131,10 @@ def _log_m_pow_p(c, p: float, slope):
     return _log_pow_p(np.log((1.0 - c) / c), np.log(c * (1.0 - c)), p, slope)
 
 
-def m_closed(c: float, p: float, theta: float) -> float:
-    """Closed-form family value at the optimal witness (norm scale).
-
-    For p > 1 this is (gamma (1 + d^-p)(d^q + 1)^(p-1))^(1/p) with
-    gamma = (c(1-c))^(p/2); for p = 1 it is sqrt(c(1-c))(1 + d), the value at
-    the endpoint pair (a, b) = (1, 0).
-    """
-    _check_c(c)
-    if not (p >= 1.0 and 0.0 <= theta <= 1.0):
-        raise ValueError(f"need p >= 1 and theta in [0, 1], got ({p}, {theta})")
-    return float(np.exp(_log_m_pow_p(c, p, (2.0 * theta - 1.0) / p) / p))
-
-
 def alpha(p: float, theta: float) -> float:
     """Quadratic coefficient 2((2 theta - 1)^2 q - p) of t -> m^p at c = 1/2 + t."""
-    if not p > 1.0:
+    _check_p_theta(p, theta)
+    if p == 1.0:
         raise ValueError(
             f"quadratic coefficient requires p > 1, got {p}; "
             "use alpha1 for the first-order p = 1 coefficient"
@@ -181,14 +174,21 @@ class QubitWitness:
     m_value: float
 
 
-def _witness_at(c: float, p: float, theta: float) -> QubitWitness:
+def family_witness(c: float, p: float, theta: float) -> QubitWitness:
+    """Family member c with its best anti-diagonal witness a E_12 + b E_21.
+
+    (a, b) is ``optimal_ab`` for p > 1 and the endpoint pair (1, 0) at
+    p = 1; m_value is ``family_value`` there, which for p > 1 equals
+    (gamma (1 + d^-p)(d^q + 1)^(p-1))^(1/p) with gamma = (c(1-c))^(p/2),
+    and for p = 1 equals sqrt(c(1-c))(1 + d).
+    """
     d = delta(c, p, theta)
     a, b = optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
     return QubitWitness(c=c, a=a, b=b, m_value=family_value(c, p, theta, a, b))
 
 
 def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
-    """Maximize m_closed over the family parameter, for each theta at one p.
+    """Maximize ``family_witness(c, p, theta).m_value`` over c, for each theta at one p.
 
     Coarse scan of t = c - 1/2 over ``GRID_POINTS`` values in
     (-1/2 + margin, 1/2 - margin), one theta at a time, then golden-section
@@ -199,8 +199,7 @@ def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
     if not (1.0 <= p < 2.0):
         raise ValueError(f"the family certifies norms for p in [1, 2), got {p}")
     for theta in thetas:
-        if not (0.0 <= theta <= 1.0):
-            raise ValueError(f"theta must lie in [0, 1], got {theta}")
+        _check_p_theta(p, theta)
     slope = (2.0 * np.array(thetas, dtype=float) - 1.0) / p
     best_i = np.empty(slope.size, dtype=np.intp)
     best_f = np.empty(slope.size)
@@ -239,7 +238,7 @@ def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
     t_best = np.where(f1 >= f2, x1, x2)
     grid_wins = best_f > np.where(f1 >= f2, f1, f2)
     t_best = np.where(grid_wins, _TS[best_i], t_best)
-    return [_witness_at(0.5 + t, p, theta) for t, theta in zip(t_best.tolist(), thetas)]
+    return [family_witness(0.5 + t, p, theta) for t, theta in zip(t_best.tolist(), thetas)]
 
 
 def family_max(p: float, theta: float) -> QubitWitness:

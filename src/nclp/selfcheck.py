@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from . import cli, normest
+from . import normest
 from .cpmap import State, SuperOperator, compatibility, is_completely_positive
 from .embed import (
     Status,
@@ -31,9 +31,7 @@ from .qubitfamily import (
     delta,
     family_max,
     family_maxima,
-    family_value,
-    m_closed,
-    optimal_ab,
+    family_witness,
     qubit_map,
     qubit_state,
     theta_thresholds,
@@ -67,12 +65,12 @@ def _random_state(rng, n: int) -> State:
     return State.from_matrix(rho / np.trace(rho).real)
 
 
-def _random_cp_map(rng, n: int, n_kraus: int = 3) -> SuperOperator:
-    return SuperOperator.from_kraus([_ginibre(rng, n) for _ in range(n_kraus)])
+def _random_cp_map(rng, n: int) -> SuperOperator:
+    return SuperOperator.from_kraus([_ginibre(rng, n) for _ in range(3)])
 
 
-def _random_unital_cp_map(rng, n: int, n_kraus: int = 3) -> SuperOperator:
-    ops = [_ginibre(rng, n) for _ in range(n_kraus)]
+def _random_unital_cp_map(rng, n: int) -> SuperOperator:
+    ops = [_ginibre(rng, n) for _ in range(3)]
     m = sum(a @ a.conj().T for a in ops)
     msqrt_inv = PositiveMatrix.from_matrix(m).power(-0.5).matrix
     return SuperOperator.from_kraus([msqrt_inv @ a for a in ops])
@@ -440,15 +438,16 @@ def check_family_consistency(seed: int) -> CheckResult:
         c = float(rng.uniform(0.2, 0.8))
         p = float(rng.uniform(1.0, 2.0))
         theta = float(rng.uniform(0.0, 1.0))
-        d = delta(c, p, theta)
-        a, b = optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
-        fam = family_value(c, p, theta, a, b)
+        w = family_witness(c, p, theta)
+        fam = w.m_value
         emap = build_embedded(qubit_map(c), qubit_state(c), p, theta)
         free = estimate_norm(emap.u_action, p, restarts=8, seed=seed).value
-        witness = np.array([[0, a], [b, 0]], dtype=complex)
+        witness = np.array([[0, w.a], [w.b, 0]], dtype=complex)
         seeded = estimate_norm(emap.u_action, p, restarts=8, seed=seed, starts=[witness]).value
         ok = ok and fam <= free * (1.0 + 1e-12) and seeded >= fam * (1.0 - 1e-12)
-        details.append(f"fam {fam:.6f} est {free:.6f}")
+        details.append(
+            f"fam/free - 1 {fam / free - 1.0:.2e}, seeded/fam - 1 {seeded / fam - 1.0:.2e}"
+        )
     return CheckResult("qubitfamily.consistency_with_estimator", ok, "; ".join(details))
 
 
@@ -459,23 +458,23 @@ def check_family_symmetry(seed: int) -> CheckResult:
         c = float(rng.uniform(0.05, 0.95))
         p = float(rng.uniform(1.0 + 1e-6, 2.0))
         theta = float(rng.uniform(0.0, 1.0))
-        m = m_closed(c, p, theta)
-        errs.append(abs(m_closed(1.0 - c, p, theta) - m))
-        errs.append(abs(m_closed(c, p, 1.0 - theta) - m))
+        m = family_witness(c, p, theta).m_value
+        errs.append(abs(family_witness(1.0 - c, p, theta).m_value - m))
+        errs.append(abs(family_witness(c, p, 1.0 - theta).m_value - m))
         # p = 1 keeps the composed symmetry only (fixed endpoint witness).
-        m1 = m_closed(c, 1.0, theta)
-        errs.append(abs(m_closed(1.0 - c, 1.0, 1.0 - theta) - m1))
+        m1 = family_witness(c, 1.0, theta).m_value
+        errs.append(abs(family_witness(1.0 - c, 1.0, 1.0 - theta).m_value - m1))
     err = _worst(errs)
     return CheckResult("qubitfamily.symmetry", err <= 1e-12, f"max |diff| {err:.2e}")
 
 
 def check_family_baseline(seed: int) -> CheckResult:
     rng = _rng(seed, 21)
-    errs = [
-        abs(m_closed(0.5, float(rng.uniform(1.0, 2.0)), float(rng.uniform(0, 1))) - 1.0)
-        for _ in range(20)
-    ]
-    errs.append(abs(m_closed(0.5, 1.0, 0.3) - 1.0))
+    errs = []
+    for _ in range(20):
+        p, theta = float(rng.uniform(1.0, 2.0)), float(rng.uniform(0, 1))
+        errs.append(abs(family_witness(0.5, p, theta).m_value - 1.0))
+    errs.append(abs(family_witness(0.5, 1.0, 0.3).m_value - 1.0))
     err = _worst(errs)
     return CheckResult("qubitfamily.baseline", err <= 1e-14, f"max |m(1/2) - 1| {err:.2e}")
 
@@ -501,7 +500,7 @@ def check_taylor_alpha(seed: int) -> CheckResult:
             )
 
         def pow_p(t):
-            return m_closed(0.5 + t, p, theta) ** p
+            return family_witness(0.5 + t, p, theta).m_value ** p
 
         second = (pow_p(step) - 2.0 + pow_p(-step)) / (2.0 * step * step)
         errs.append(abs(second - a) / abs(a))
@@ -515,7 +514,9 @@ def check_taylor_p1(seed: int) -> CheckResult:
     errs = []
     for _ in range(20):
         theta = float(rng.uniform(0.0, 1.0))
-        fd = (m_closed(0.5 + step, 1.0, theta) - m_closed(0.5 - step, 1.0, theta)) / (2 * step)
+        up = family_witness(0.5 + step, 1.0, theta).m_value
+        down = family_witness(0.5 - step, 1.0, theta).m_value
+        fd = (up - down) / (2 * step)
         errs.append(abs(fd - alpha1(theta)))
     err = _worst(errs)
     return CheckResult("qubitfamily.taylor_p1", err <= 1e-5, f"max abs err {err:.2e}")
@@ -621,13 +622,6 @@ def check_p2_multiplicativity(seed: int) -> CheckResult:
 
 # ---------------------------------------------------------------------------
 # cli
-
-
-def check_csv_reproducibility(seed: int) -> CheckResult:
-    a = cli.render_phase_diagram_csv(1.0, 2.0, 0.25, 0.25, with_family=True)
-    b = cli.render_phase_diagram_csv(1.0, 2.0, 0.25, 0.25, with_family=True)
-    ok = a == b
-    return CheckResult("cli.csv_reproducibility", ok, f"{len(a)} bytes, identical={ok}")
 
 
 def check_witness_certification(seed: int) -> CheckResult:

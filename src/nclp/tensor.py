@@ -45,16 +45,6 @@ def kron_state(s1: State, s2: State) -> State:
     return State.from_matrix(np.kron(s1.gamma.matrix, s2.gamma.matrix))
 
 
-def choi_shuffle_permutation(n1: int, n2: int) -> np.ndarray:
-    """Index permutation relating the Choi matrix of a Kronecker product to
-    the Kronecker product of the factor Choi matrices.
-
-    Returns ``perm`` such that for T = T1 kron T2 on M_(n1*n2),
-    ``choi(T)[np.ix_(perm, perm)] == np.kron(choi(T1), choi(T2))``.
-    """
-    return np.arange((n1 * n2) ** 2).reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3).ravel()
-
-
 def _power(base: float, n: int) -> float:
     try:
         return float(base) ** n

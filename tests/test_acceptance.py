@@ -16,8 +16,8 @@ from nclp.normest import estimate_norm
 from nclp.qubitfamily import (
     alpha,
     alpha1,
+    family_witness,
     find_counterexample,
-    m_closed,
     qubit_map,
     qubit_state,
     theta_thresholds,
@@ -73,8 +73,8 @@ def test_criterion_2_taylor_coefficients():
         if abs(a) < 0.05:
             continue
         accepted += 1
-        up = m_closed(0.5 + step, p, theta) ** p
-        down = m_closed(0.5 - step, p, theta) ** p
+        up = family_witness(0.5 + step, p, theta).m_value ** p
+        down = family_witness(0.5 - step, p, theta).m_value ** p
         second = (up - 2.0 + down) / (2.0 * step * step)
         worst_rel = max(worst_rel, abs(second - a) / abs(a))
         q = p / (p - 1.0)
@@ -84,9 +84,9 @@ def test_criterion_2_taylor_coefficients():
     worst_p1 = 0.0
     for _ in range(20):
         theta = float(rng.uniform(0.0, 1.0))
-        fd = (m_closed(0.5 + step, 1.0, theta) - m_closed(0.5 - step, 1.0, theta)) / (
-            2.0 * step
-        )
+        up = family_witness(0.5 + step, 1.0, theta).m_value
+        down = family_witness(0.5 - step, 1.0, theta).m_value
+        fd = (up - down) / (2.0 * step)
         worst_p1 = max(worst_p1, abs(fd - alpha1(theta)))
     ok = worst_rel <= 1e-3 and worst_form_gap <= 1e-12 and worst_p1 <= 1e-5
     _report(
@@ -100,12 +100,12 @@ def test_criterion_2_taylor_coefficients():
 
 def test_criterion_3_specific_values():
     rng = np.random.default_rng(SEED + 3)
-    err_06 = abs(m_closed(0.6, 1.0, 0.0) - 1.224744871)
-    err_09 = abs(m_closed(0.9, 1.0, 0.0) - 3.0)
-    worst_baseline = max(
-        abs(m_closed(0.5, float(rng.uniform(1.0, 2.0)), float(rng.uniform(0, 1))) - 1.0)
-        for _ in range(20)
-    )
+    err_06 = abs(family_witness(0.6, 1.0, 0.0).m_value - 1.224744871)
+    err_09 = abs(family_witness(0.9, 1.0, 0.0).m_value - 3.0)
+    worst_baseline = 0.0
+    for _ in range(20):
+        p, theta = float(rng.uniform(1.0, 2.0)), float(rng.uniform(0, 1))
+        worst_baseline = max(worst_baseline, abs(family_witness(0.5, p, theta).m_value - 1.0))
     ok = err_06 <= 1e-8 and err_09 <= 1e-10 and worst_baseline <= 1e-14
     _report(
         3,
@@ -210,8 +210,8 @@ def test_criterion_6_kron_lower_bounds():
 
 
 def test_criterion_7_divergence_tables():
-    v06 = m_closed(0.6, 1.0, 0.0)
-    v09 = m_closed(0.9, 1.0, 0.0)
+    v06 = family_witness(0.6, 1.0, 0.0).m_value
+    v09 = family_witness(0.9, 1.0, 0.0).m_value
     n06 = steps_to_exceed(v06, 10.0)
     n09 = steps_to_exceed(v09, 10.0)
     ok = n06 == 12 and n09 == 3

@@ -12,9 +12,10 @@ from nclp.qubitfamily import (
     delta,
     family_max,
     family_maxima,
+    _log_m_pow_p,
     family_value,
+    family_witness,
     find_counterexample,
-    m_closed,
     optimal_ab,
     qubit_map,
     qubit_state,
@@ -110,31 +111,65 @@ def test_family_value_rejects_negative_coefficients():
         family_value(0.5, 1.5, 0.5, -0.1, 1.0)
 
 
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (delta, (0.3, math.inf, 0.2)),
+        (delta, (0.3, math.nan, 0.2)),
+        (delta, (0.3, 1.5, math.nan)),
+        (optimal_ab, (1.5, math.inf)),
+        (optimal_ab, (1.5, math.nan)),
+        (optimal_ab, (math.inf, 1.5)),
+        (optimal_ab, (math.nan, 1.5)),
+        (alpha, (math.inf, 0.2)),
+        (alpha, (math.nan, 0.2)),
+        (alpha, (1.5, math.nan)),
+        (alpha, (1.5, 1.5)),
+        (family_value, (0.3, 1.5, 0.2, math.nan, 0.5)),
+        (family_value, (0.3, 1.5, 0.2, 0.5, math.nan)),
+        (family_value, (0.3, 1.5, 0.2, math.inf, 0.5)),
+        (family_value, (0.3, 1.5, 0.2, 0.5, math.inf)),
+        (family_witness, (0.3, math.inf, 0.2)),
+        (family_witness, (0.3, math.nan, 0.2)),
+        (family_witness, (0.3, 1.5, math.nan)),
+        (family_witness, (0.3, 1.5, -0.1)),
+        (family_witness, (0.3, 0.9, 0.2)),
+        (family_witness, (math.nan, 1.5, 0.2)),
+    ],
+)
+def test_family_functions_refuse_non_finite_or_out_of_range(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)
+
+
 # ---------------------------------------------------------------------------
-# m_closed
+# family_witness
 
 
-def test_m_closed_specific_values():
-    assert m_closed(0.6, 1.0, 0.0) == pytest.approx(math.sqrt(1.5), abs=1e-12)
-    assert m_closed(0.9, 1.0, 0.0) == pytest.approx(3.0, abs=1e-10)
+def test_family_witness_specific_values():
+    w06, w09 = family_witness(0.6, 1.0, 0.0), family_witness(0.9, 1.0, 0.0)
+    assert (w06.a, w06.b) == (w09.a, w09.b) == (1.0, 0.0)
+    assert w06.m_value == pytest.approx(math.sqrt(1.5), abs=1e-12)
+    assert w09.m_value == pytest.approx(3.0, abs=1e-10)
 
 
-def test_m_closed_matches_family_value_at_optimum():
+def test_search_objective_matches_family_witness():
+    # the scan maximizes a log form; the witness it returns prints the direct form
     rng = np.random.default_rng(3)
     for _ in range(25):
         c = float(rng.uniform(0.02, 0.98))
         p = float(rng.uniform(1.001, 2.0))
         theta = float(rng.uniform(0.0, 1.0))
-        a, b = optimal_ab(delta(c, p, theta), p)
-        direct = family_value(c, p, theta, a, b)
-        assert abs(m_closed(c, p, theta) - direct) <= 1e-12 * direct
+        for q in (p, 1.0):
+            objective = math.exp(_log_m_pow_p(c, q, (2.0 * theta - 1.0) / q) / q)
+            direct = family_witness(c, q, theta).m_value
+            assert abs(objective - direct) <= 1e-12 * direct, (c, q, theta)
 
 
-def test_m_closed_exceeds_one_near_threshold():
-    value = m_closed(0.51, 1.5, 0.0)
-    assert value > 1.0
-    a, b = optimal_ab(delta(0.51, 1.5, 0.0), 1.5)
-    assert value == pytest.approx(family_value(0.51, 1.5, 0.0, a, b), rel=1e-12)
+def test_family_witness_exceeds_one_near_threshold():
+    w = family_witness(0.51, 1.5, 0.0)
+    assert w.m_value > 1.0
+    assert (w.a, w.b) == optimal_ab(delta(0.51, 1.5, 0.0), 1.5)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,7 @@ from nclp.cpmap import SuperOperator
 from nclp.embed import build_embedded
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre
-from nclp.tensor import (
-    choi_shuffle_permutation,
-    kron_state,
-    kron_superop,
-    steps_to_exceed,
-)
+from nclp.tensor import kron_state, kron_superop, steps_to_exceed
 
 RNG = np.random.default_rng(20240815)
 
@@ -82,7 +77,8 @@ def test_choi_factorizes_after_shuffle():
         s1 = SuperOperator(_ginibre(RNG, n1 * n1))
         s2 = SuperOperator(_ginibre(RNG, n2 * n2))
         big = kron_superop(s1, s2)
-        perm = choi_shuffle_permutation(n1, n2)
+        # Choi index (i1, i2, k1, k2) of the product is (i1, k1, i2, k2) of the factors
+        perm = np.arange((n1 * n2) ** 2).reshape(n1, n2, n1, n2).transpose(0, 2, 1, 3).ravel()
         lhs = big.choi[np.ix_(perm, perm)]
         rhs = np.kron(s1.choi, s2.choi)
         assert np.abs(lhs - rhs).max() <= 1e-12
