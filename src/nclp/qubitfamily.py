@@ -146,6 +146,7 @@ def alpha(p: float, theta: float) -> float:
 
 def alpha1(theta: float) -> float:
     """First-order coefficient -2(2 theta - 1) of t -> m at p = 1."""
+    _check_p_theta(1.0, theta)
     return -2.0 * (2.0 * theta - 1.0)
 
 

@@ -125,6 +125,8 @@ def test_family_value_rejects_negative_coefficients():
         (alpha, (math.nan, 0.2)),
         (alpha, (1.5, math.nan)),
         (alpha, (1.5, 1.5)),
+        (alpha1, (math.nan,)),
+        (alpha1, (1.5,)),
         (family_value, (0.3, 1.5, 0.2, math.nan, 0.5)),
         (family_value, (0.3, 1.5, 0.2, 0.5, math.nan)),
         (family_value, (0.3, 1.5, 0.2, math.inf, 0.5)),
