@@ -143,13 +143,26 @@ def _reshuffle(m: np.ndarray, n: int) -> np.ndarray:
 
 
 def is_completely_positive(t: SuperOperator) -> bool:
-    """Choi positivity test: Hermitian Choi with lambda_min >= -CP_TOL * scale."""
+    """Choi positivity test, with scale = max(1, max |C_ij|) for the Choi
+    matrix C: C is Hermitian to CP_TOL * scale, and H / scale + CP_TOL * I
+    has a Cholesky factor, where H is the Hermitian part of C.
+
+    A factor exists when lambda_min(H) >= -CP_TOL * scale, up to rounding far
+    below CP_TOL.  For Hermitian H, max |H_ij| <= max(1, lambda_max) whenever
+    the test can pass, so it certifies no map that the eigenvalue rule
+    lambda_min >= -CP_TOL * max(1, lambda_max) refuses.
+    """
     c = t.choi
     scale = max(1.0, np.abs(c).max())
     if np.abs(c - c.conj().T).max() > CP_TOL * scale:
         return False
-    w = np.linalg.eigvalsh(_hermitian_part(c))
-    return bool(w[0] >= -CP_TOL * max(1.0, w[-1]))
+    h = _hermitian_part(c) / scale
+    h[np.diag_indices_from(h)] += CP_TOL
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -174,7 +187,8 @@ def compatibility(t: SuperOperator, state: State) -> CompatibilityReport:
         raise ValueError(f"dimension mismatch: map {t.dim}, state {state.dim}")
     gamma = state.gamma.matrix
     inv_sqrt = state.power(-0.5)
-    tgam = t.adjoint()(gamma)
+    # T*(Gamma) = unvec(K^* vec(Gamma)), read off K without copying K^*
+    tgam = unvec((vec(gamma).conj() @ t.action_matrix).conj(), t.dim)
     w = inv_sqrt @ tgam @ inv_sqrt
     # an entry that overflowed leaves eigvalsh nothing sound to return (NaN,
     # or a finite value below the true C1), so C1 is reported as inf

@@ -24,19 +24,19 @@ def kron_superop(s1: SuperOperator, s2: SuperOperator) -> SuperOperator:
     """The map with (S1 kron S2)(X kron Y) = S1(X) kron S2(Y), extended linearly.
 
     Under column stacking an action-matrix index of M_n reads (col, row) in
-    C order, so ``np.kron(K1, K2)`` carries the axes (l1, k1, l2, k2) on each
-    side and the composite needs (l1, l2, k1, k2): one axis swap per side.
+    C order, so K1 carries the axes (l1, k1) on each side and the composite
+    needs (l1, l2, k1, k2): one broadcast multiply writes every product
+    K1 * K2 straight into that layout.
     """
     n1, n2 = s1.dim, s2.dim
     n = n1 * n2
     if n > MAX_KRON_DIM:
         raise ValueError(f"composite dimension {n} exceeds MAX_KRON_DIM = {MAX_KRON_DIM}")
+    k1 = s1.action_matrix.reshape((n1,) * 4)
+    k2 = s2.action_matrix.reshape((n2,) * 4)
     action = (
-        np.kron(s1.action_matrix, s2.action_matrix)
-        .reshape((n1, n1, n2, n2) * 2)
-        .transpose(0, 2, 1, 3, 4, 6, 5, 7)
-        .reshape(n * n, n * n)
-    )
+        k1[:, None, :, None, :, None, :, None] * k2[None, :, None, :, None, :, None, :]
+    ).reshape(n * n, n * n)
     return SuperOperator(action)
 
 

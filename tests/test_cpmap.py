@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nclp.cpmap import (
+    CP_TOL,
     State,
     SuperOperator,
     compatibility,
@@ -11,8 +12,9 @@ from nclp.cpmap import (
     unvec,
     vec,
 )
+from nclp.matcore import _hermitian_part
 from nclp.qubitfamily import qubit_map, qubit_state
-from nclp.selfcheck import _ginibre, _random_state
+from nclp.selfcheck import _ginibre, _random_state, _random_unitary
 
 RNG = np.random.default_rng(20240812)
 
@@ -123,6 +125,64 @@ def test_transpose_map_is_not_cp():
 
 def test_non_hermiticity_preserving_map_is_not_cp():
     t = SuperOperator(_ginibre(RNG, 4))
+    assert not is_completely_positive(t)
+
+
+def _eigenvalue_rule(t: SuperOperator) -> bool:
+    """Reference rule: Hermitian Choi with lambda_min >= -CP_TOL * max(1, lambda_max)."""
+    c = t.choi
+    scale = max(1.0, np.abs(c).max())
+    if np.abs(c - c.conj().T).max() > CP_TOL * scale:
+        return False
+    w = np.linalg.eigvalsh(_hermitian_part(c))
+    return bool(w[0] >= -CP_TOL * max(1.0, w[-1]))
+
+
+def _choi_with_dip(rng, n, top, dip):
+    """A map whose Choi matrix has spectrum (dip * scale, positives up to top),
+    where scale = max(1, max |C_ij|) is read before the dip is added."""
+    v = _random_unitary(rng, n * n)
+    w = rng.uniform(0.0, top, n * n)
+    w[0] = 0.0
+    c = (v * w) @ v.conj().T
+    scale = max(1.0, np.abs(c).max())
+    return SuperOperator.from_choi(c + dip * scale * np.outer(v[:, 0], v[:, 0].conj()))
+
+
+@pytest.mark.parametrize("top", [0.5, 3.0, 40.0])
+def test_cp_rule_at_its_tolerance(top):
+    rng = np.random.default_rng([20240812, int(top * 10)])
+    assert is_completely_positive(_choi_with_dip(rng, 3, top, -0.5 * CP_TOL))
+    assert not is_completely_positive(_choi_with_dip(rng, 3, top, -2.0 * CP_TOL))
+
+
+def test_cp_rule_certifies_only_what_the_eigenvalue_rule_certifies():
+    rng = np.random.default_rng(20240818)
+    verdicts = set()
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        top = 10.0 ** rng.uniform(-1.0, 2.0)
+        # dips from 0.1 to 3 * max(1, lambda_max) times CP_TOL * scale
+        dip = 10.0 ** rng.uniform(-1.0, math.log10(3.0 * max(1.0, top)))
+        t = _choi_with_dip(rng, n, top, -CP_TOL * dip)
+        new, old = is_completely_positive(t), _eigenvalue_rule(t)
+        assert old or not new
+        verdicts.add((new, old))
+    # every verdict pair the implication allows was reached
+    assert verdicts == {(True, True), (False, True), (False, False)}
+
+
+def test_cp_rule_refuses_a_dip_that_lambda_max_used_to_excuse():
+    # the identity map on M_4 has the Choi matrix |Omega><Omega| with
+    # lambda_max = 4 and entries of modulus at most 1; a dip of -2e-10 along
+    # a unit vector orthogonal to Omega passes the eigenvalue rule, whose
+    # tolerance scales with lambda_max, and fails the Cholesky rule, whose
+    # tolerance scales with the entries
+    c = SuperOperator.identity(4).choi.copy()
+    c[1, 1] -= 2e-10
+    t = SuperOperator.from_choi(c)
+    assert np.linalg.eigvalsh(c)[0] == pytest.approx(-2e-10, rel=1e-6)
+    assert _eigenvalue_rule(t)
     assert not is_completely_positive(t)
 
 

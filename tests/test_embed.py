@@ -40,18 +40,21 @@ def test_qubit_antidiagonal_action(p, theta):
     assert np.abs(emap.u_action(E21) - s * (E12 / d + E21)).max() < 1e-12
 
 
-def test_embedded_action_matches_direct_sandwich_on_units():
-    t = SuperOperator(_ginibre(RNG, 9))
-    state = _random_state(RNG, 3)
-    p, theta = 1.4, 0.7
+@pytest.mark.parametrize("p", [1.0, 1.4, 2.0])
+@pytest.mark.parametrize("theta", [0.0, 0.7, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_embedded_action_matches_direct_sandwich_on_units(n, theta, p):
+    rng = np.random.default_rng([20240813, n])
+    t = SuperOperator(_ginibre(rng, n * n))
+    state = _random_state(rng, n)
     emap = build_embedded(t, state, p, theta)
     a = state.power((1 - theta) / p)
     b = state.power(theta / p)
     ai = state.power(-(1 - theta) / p)
     bi = state.power(-theta / p)
-    for i in range(3):
-        for j in range(3):
-            e = np.zeros((3, 3), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            e = np.zeros((n, n), dtype=complex)
             e[i, j] = 1.0
             direct = a @ t(ai @ e @ bi) @ b
             assert np.abs(emap.u_action(e) - direct).max() <= 1e-10

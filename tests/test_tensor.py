@@ -28,7 +28,7 @@ def test_kron_of_identities_is_identity():
 
 
 def test_kron_defining_property_on_units():
-    for n1, n2 in ((2, 2), (2, 3), (3, 2)):
+    for n1, n2 in ((2, 2), (2, 3), (3, 2), (8, 2), (2, 8)):
         s1 = SuperOperator(_ginibre(RNG, n1 * n1))
         s2 = SuperOperator(_ginibre(RNG, n2 * n2))
         big = kron_superop(s1, s2)
@@ -73,7 +73,7 @@ def test_embedding_factorizes_over_kron():
 
 
 def test_choi_factorizes_after_shuffle():
-    for n1, n2 in ((2, 2), (2, 3), (3, 2)):
+    for n1, n2 in ((2, 2), (2, 3), (3, 2), (8, 2), (2, 8)):
         s1 = SuperOperator(_ginibre(RNG, n1 * n1))
         s2 = SuperOperator(_ginibre(RNG, n2 * n2))
         big = kron_superop(s1, s2)
