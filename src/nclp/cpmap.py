@@ -83,7 +83,7 @@ class SuperOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "SuperOperator":
-        return cls(np.eye(dim * dim, dtype=complex))
+        return cls(np.eye(dim * dim))
 
     @classmethod
     def from_map(cls, fn, dim: int) -> "SuperOperator":
@@ -197,7 +197,7 @@ def compatibility(t: SuperOperator, state: State) -> CompatibilityReport:
     else:
         c1 = math.inf
 
-    eye = np.eye(t.dim, dtype=complex)
+    eye = np.eye(t.dim)
     t_of_i = t(eye)
     cp = is_completely_positive(t)
     c_inf = schatten_norm(t_of_i, math.inf) if cp else None

@@ -1,7 +1,8 @@
-"""Dense complex-matrix kernel: Schatten norms, dual elements, fractional powers.
+"""Dense matrix kernel: Schatten norms, dual elements, fractional powers.
 
 Everything here is a pure function of immutable inputs; matrices are plain
-complex numpy arrays, positive matrices carry a cached eigendecomposition.
+numpy arrays, float64 when exactly real and complex128 otherwise (see
+:func:`_as_matrix`), and positive matrices carry a cached eigendecomposition.
 """
 
 from __future__ import annotations
@@ -20,8 +21,20 @@ SUPPORT_RTOL = 1e-12
 
 
 def _as_matrix(x) -> np.ndarray:
-    """Coerce to a finite 2-D complex array."""
-    m = np.asarray(x, dtype=complex)
+    """Coerce to a finite 2-D array: float64 when ``x`` is real-typed or every
+    imaginary part is exactly zero, complex128 otherwise.
+
+    This is the package's one dtype rule, so exactly real data runs in real
+    LAPACK/BLAS.  Narrowing returns a view of the real parts, and real input
+    is never cast to complex.
+    """
+    m = np.asarray(x)
+    if m.dtype.kind in "biuf":
+        m = m.astype(float, copy=False)
+    else:
+        m = m.astype(complex, copy=False)
+        if not m.imag.any():
+            m = m.real
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
@@ -41,7 +54,7 @@ def schatten_norm(x, p: float) -> float:
     Parameters
     ----------
     x : array_like
-        Complex matrix with finite entries.
+        Real or complex matrix with finite entries.
     p : float
         Exponent in [1, inf].
     """

@@ -104,9 +104,12 @@ def _ascend(action: np.ndarray, p: float, ys: np.ndarray) -> _Batch:
     converge; the best iterate is kept either way.
     """
     q = math.inf if p == 1.0 else p / (p - 1.0)
+    # one complex cast here, so an exactly real action or start gives the
+    # same bits as its complex copy, whichever caller passes it
+    action = action.astype(complex, copy=False)
     adjoint = action.conj().T
     k = ys.shape[0]
-    ys = ys.copy()
+    ys = ys.astype(complex)
     tops, values, duals = _image(action, ys, p)
     last = values.copy()
     max_drop = np.full(k, -math.inf)

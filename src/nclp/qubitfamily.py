@@ -54,15 +54,15 @@ def _check_p_theta(p: float, theta: float):
 def qubit_state(c: float) -> State:
     """diag(1-c, c) as a faithful state on M_2."""
     _check_c(c)
-    return State.from_matrix(np.diag([1.0 - c, c]).astype(complex))
+    return State.from_matrix(np.diag([1.0 - c, c]))
 
 
 def qubit_map(c: float) -> SuperOperator:
     """The unital, state-preserving, completely positive family member."""
     _check_c(c)
     s = math.sqrt(c * (1.0 - c))
-    flip = np.array([[0.0, s], [s, 0.0]], dtype=complex)
-    eye2 = np.eye(2, dtype=complex)
+    flip = np.array([[0.0, s], [s, 0.0]])
+    eye2 = np.eye(2)
 
     def act(e):
         return e[0, 0] * (1.0 - c) * eye2 + e[1, 1] * c * eye2 + (e[0, 1] + e[1, 0]) * flip

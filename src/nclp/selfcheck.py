@@ -91,8 +91,10 @@ def check_unitary_invariance(seed: int) -> CheckResult:
         for p in (1.0, 1.4, 1.5, 2.0, 3.0, math.inf):
             x = _ginibre(rng, n)
             u, v = _random_unitary(rng, n), _random_unitary(rng, n)
-            ref = schatten_norm(x, p)
-            errs.append(abs(schatten_norm(u @ x @ v, p) - ref) / ref)
+            # x.real is exactly real: its real SVD against a complex frame
+            for y in (x, x.real):
+                ref = schatten_norm(y, p)
+                errs.append(abs(schatten_norm(u @ y @ v, p) - ref) / ref)
     err = _worst(errs)
     return CheckResult("matcore.unitary_invariance", err <= 1e-10, f"max rel err {err:.2e}")
 
@@ -248,7 +250,12 @@ def check_cp_flags(seed: int) -> CheckResult:
     transpose = SuperOperator.from_map(lambda e: e.T.copy(), 2)
     ok = ok and not is_completely_positive(transpose)
     ok = ok and is_completely_positive(SuperOperator.identity(3))
-    return CheckResult("cpmap.cp_flags", ok, "family CP, transpose not CP")
+    # a family member conjugated by a diagonal phase unitary: complex, still CP
+    d = np.diag([1.0, np.exp(0.7j)])
+    t = qubit_map(0.3)
+    phased = SuperOperator.from_map(lambda e: d @ t(d.conj() @ e @ d) @ d.conj(), 2)
+    ok = ok and is_completely_positive(phased)
+    return CheckResult("cpmap.cp_flags", ok, "family and phased member CP, transpose not CP")
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +611,18 @@ def check_kron_lower_bound(seed: int) -> CheckResult:
 
 def check_p2_multiplicativity(seed: int) -> CheckResult:
     rng = _rng(seed, 27)
-    errs = []
+    pairs = []
     for _ in range(5):
         c2v = float(rng.uniform(0.2, 0.8))
         theta = float(rng.uniform(0.0, 1.0))
         t1 = SuperOperator(_ginibre(rng, 4) / 2)
-        t2 = qubit_map(c2v)
-        s1, s2 = _random_state(rng, 2), qubit_state(c2v)
+        pairs.append((t1, _random_state(rng, 2), qubit_map(c2v), qubit_state(c2v), theta))
+    # a qubit (x) qubit pair, exactly real throughout
+    c1v, c2v = (float(v) for v in rng.uniform(0.2, 0.8, 2))
+    theta = float(rng.uniform(0.0, 1.0))
+    pairs.append((qubit_map(c1v), qubit_state(c1v), qubit_map(c2v), qubit_state(c2v), theta))
+    errs = []
+    for t1, s1, t2, s2, theta in pairs:
         e1 = build_embedded(t1, s1, 2.0, theta)
         e2 = build_embedded(t2, s2, 2.0, theta)
         big = build_embedded(kron_superop(t1, t2), kron_state(s1, s2), 2.0, theta)

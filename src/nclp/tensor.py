@@ -41,8 +41,13 @@ def kron_superop(s1: SuperOperator, s2: SuperOperator) -> SuperOperator:
 
 
 def kron_state(s1: State, s2: State) -> State:
-    """Product state with density gamma1 kron gamma2."""
-    return State.from_matrix(np.kron(s1.gamma.matrix, s2.gamma.matrix))
+    """Product state with density gamma1 kron gamma2, divided by its trace.
+
+    Each factor's trace is within TRACE_TOL of 1, but their product's need
+    not be; the division keeps every power of an accepted state accepted.
+    """
+    g = np.kron(s1.gamma.matrix, s2.gamma.matrix)
+    return State.from_matrix(g / np.trace(g).real)
 
 
 def _power(base: float, n: int) -> float:

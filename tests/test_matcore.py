@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.matcore import PositiveMatrix, dual_element, schatten_norm
+from nclp.matcore import PositiveMatrix, _as_matrix, dual_element, schatten_norm
 from nclp.selfcheck import _ginibre, _random_unitary
 
 RNG = np.random.default_rng(20240811)
@@ -39,6 +39,12 @@ def test_schatten_norm_rejects_bad_input():
         schatten_norm(np.array([[np.nan, 0], [0, 1]]), 2.0)
     with pytest.raises(ValueError):
         schatten_norm(np.array([[np.inf, 0], [0, 1]]), 2.0)
+
+
+def test_as_matrix_narrows_only_exactly_real_input():
+    assert _as_matrix(np.array([[1.0 + 5e-324j]])).dtype == np.complex128
+    assert _as_matrix(np.array([[complex(1.0, -0.0)]])).dtype == np.float64
+    assert _as_matrix([[1, 2], [3, 4]]).dtype == np.float64
 
 
 def test_schatten_norm_large_p_no_overflow():

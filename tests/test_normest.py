@@ -173,6 +173,13 @@ def test_waves_stop_where_ginibre_starts_creep():
     assert np.all(run.iterations[fixed:] == MAX_ITERS)
     assert est.restarts_used == fixed + WAVE
     assert est.value == pytest.approx(run.values.max(), rel=1e-10)
+    # the member is exactly real, and its complex copy ascends with the same bits
+    action = emap.u_action.action_matrix
+    assert action.dtype == np.float64
+    ys = _start_stack(2, 1.5, 32, DEFAULT_SEED, ())
+    twin = _ascend(action.astype(complex), 1.5, ys)
+    assert np.array_equal(twin.values, run.values)
+    assert np.array_equal(twin.witnesses, run.witnesses)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.cpmap import SuperOperator
+from nclp.cpmap import State, SuperOperator
 from nclp.embed import build_embedded
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre
@@ -90,6 +90,24 @@ def test_kron_state_is_product_state():
     assert prod.dim == 4
     expected = np.kron(s1.gamma.matrix, s2.gamma.matrix)
     assert np.abs(prod.gamma.matrix - expected).max() < 1e-14
+
+
+def test_powers_of_an_accepted_state_stay_accepted():
+    # trace 1 + 4e-13 passes TRACE_TOL, but its cube's trace 1 + 1.2e-12 would not
+    base = State.from_matrix(np.diag([0.7 + 4e-13, 0.3]))
+    power = base
+    for k in (2, 3, 4):
+        power = kron_state(power, base)
+        assert power.dim == 2**k
+        assert abs(np.trace(power.gamma.matrix) - 1.0) <= 1e-15 * 2**k
+
+
+def test_real_family_stays_float64():
+    t = kron_superop(qubit_map(0.3), qubit_map(0.6))
+    s = kron_state(qubit_state(0.3), qubit_state(0.6))
+    assert t.action_matrix.dtype == np.float64
+    assert t.choi.dtype == np.float64
+    assert build_embedded(t, s, 2.0, 0.3).u_action.action_matrix.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
