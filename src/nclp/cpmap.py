@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import PositiveMatrix, _as_matrix, _hermitian_part, schatten_norm
+from .matcore import PositiveMatrix, _as_matrix, _diagonal_blocks, _hermitian_part, schatten_norm
 
 CP_TOL = 1e-10
 UNITAL_TOL = 1e-10
@@ -151,17 +151,23 @@ def is_completely_positive(t: SuperOperator) -> bool:
     below CP_TOL.  For Hermitian H, max |H_ij| <= max(1, lambda_max) whenever
     the test can pass, so it certifies no map that the eigenvalue rule
     lambda_min >= -CP_TOL * max(1, lambda_max) refuses.
+
+    Both tests run on each of C's diagonal blocks (``_diagonal_blocks``),
+    with the scale of the whole C: entries between blocks are zero in both
+    C and C^*, so this is the same test as on the whole matrix.
     """
     c = t.choi
     scale = max(1.0, np.abs(c).max())
-    if np.abs(c - c.conj().T).max() > CP_TOL * scale:
-        return False
-    h = _hermitian_part(c) / scale
-    h[np.diag_indices_from(h)] += CP_TOL
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
+    for b in _diagonal_blocks(c):
+        if np.abs(b - b.conj().swapaxes(-1, -2)).max() > CP_TOL * scale:
+            return False
+        h = _hermitian_part(b) / scale
+        d = np.arange(h.shape[-1])
+        h[..., d, d] += CP_TOL
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return False
     return True
 
 

@@ -255,7 +255,15 @@ def check_cp_flags(seed: int) -> CheckResult:
     t = qubit_map(0.3)
     phased = SuperOperator.from_map(lambda e: d @ t(d.conj() @ e @ d) @ d.conj(), 2)
     ok = ok and is_completely_positive(phased)
-    return CheckResult("cpmap.cp_flags", ok, "family and phased member CP, transpose not CP")
+    # Choi matrices that split into diagonal blocks: the third power (8 blocks)
+    # is CP; Choi(transpose kron T) has eigenvalues -1 * lambda(Choi T) < 0
+    ok = ok and is_completely_positive(kron_superop(kron_superop(t, t), t))
+    ok = ok and not is_completely_positive(kron_superop(transpose, t))
+    return CheckResult(
+        "cpmap.cp_flags",
+        ok,
+        "family, phased member and third power CP; transpose and transpose kron member not CP",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,10 @@ def steps_to_exceed(per_factor: float, threshold: float) -> int | None:
     For per_factor > 1 the count is ceil(ln threshold / ln per_factor),
     confirmed against the float powers at n - 1 and n.
     """
-    if per_factor < 0:
-        raise ValueError(f"per-factor bound must be non-negative, got {per_factor}")
+    if not per_factor >= 0:
+        raise ValueError(f"per_factor must be a non-negative number, got {per_factor}")
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, got nan")
     if _power(per_factor, 1) > threshold:
         return 1
     if per_factor <= 1.0 or not threshold < math.inf:

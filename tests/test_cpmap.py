@@ -12,7 +12,7 @@ from nclp.cpmap import (
     unvec,
     vec,
 )
-from nclp.matcore import _hermitian_part
+from nclp.matcore import _diagonal_blocks, _hermitian_part
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre, _random_state, _random_unitary
 
@@ -149,11 +149,40 @@ def _choi_with_dip(rng, n, top, dip):
     return SuperOperator.from_choi(c + dip * scale * np.outer(v[:, 0], v[:, 0].conj()))
 
 
+def _split(rng, t):
+    """A map on M_4 whose Choi matrix is a permuted direct sum of t's 9x9
+    Choi matrix and a positive 7x7 block with entries below 1, so the scale
+    max(1, max |C_ij|) is t's."""
+    g = _ginibre(rng, 7)
+    c = np.zeros((16, 16), dtype=complex)
+    c[:9, :9] = t.choi
+    c[9:, 9:] = g @ g.conj().T / (2.0 * np.abs(g @ g.conj().T).max())
+    perm = rng.permutation(16)
+    c = c[np.ix_(perm, perm)]
+    assert sorted(b.shape for b in _diagonal_blocks(c)) == [(1, 7, 7), (1, 9, 9)]
+    return SuperOperator.from_choi(c)
+
+
 @pytest.mark.parametrize("top", [0.5, 3.0, 40.0])
 def test_cp_rule_at_its_tolerance(top):
     rng = np.random.default_rng([20240812, int(top * 10)])
-    assert is_completely_positive(_choi_with_dip(rng, 3, top, -0.5 * CP_TOL))
-    assert not is_completely_positive(_choi_with_dip(rng, 3, top, -2.0 * CP_TOL))
+    # the same verdicts whole and as one block of a permuted direct sum
+    for place in (lambda t: t, lambda t: _split(rng, t)):
+        assert is_completely_positive(place(_choi_with_dip(rng, 3, top, -0.5 * CP_TOL)))
+        assert not is_completely_positive(place(_choi_with_dip(rng, 3, top, -2.0 * CP_TOL)))
+
+
+def test_cp_test_links_blocks_through_one_asymmetric_entry():
+    # two positive blocks, joined by a single entry with no mirror: the entry
+    # puts them in one block, where the asymmetry test refuses it
+    c = np.eye(4) + 0.5 * np.eye(4, k=2) + 0.5 * np.eye(4, k=-2)
+    assert len(_diagonal_blocks(c)[0]) == 2
+    assert is_completely_positive(SuperOperator.from_choi(c))
+    c[1, 0] = 1e-3
+    assert len(_diagonal_blocks(c)) == 1
+    assert not is_completely_positive(SuperOperator.from_choi(c))
+    # the zero map splits into 1x1 zero blocks and is CP
+    assert is_completely_positive(SuperOperator(np.zeros((9, 9))))
 
 
 def test_cp_rule_certifies_only_what_the_eigenvalue_rule_certifies():

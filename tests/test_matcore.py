@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nclp.matcore import PositiveMatrix, _as_matrix, dual_element, schatten_norm
+from nclp.matcore import (
+    PositiveMatrix,
+    _as_matrix,
+    _diagonal_blocks,
+    dual_element,
+    schatten_norm,
+)
 from nclp.selfcheck import _ginibre, _random_unitary
 
 RNG = np.random.default_rng(20240811)
@@ -45,6 +51,58 @@ def test_as_matrix_narrows_only_exactly_real_input():
     assert _as_matrix(np.array([[1.0 + 5e-324j]])).dtype == np.complex128
     assert _as_matrix(np.array([[complex(1.0, -0.0)]])).dtype == np.float64
     assert _as_matrix([[1, 2], [3, 4]]).dtype == np.float64
+
+
+def _permuted(rng, x):
+    perm = rng.permutation(x.shape[0])
+    return x[np.ix_(perm, perm)]
+
+
+def _permuted_direct_sum(rng, sizes, dtype):
+    """A random direct sum with the given block sizes plus a zero row and
+    column, in a random permutation."""
+    n = sum(sizes) + 1
+    m = np.zeros((n, n), dtype=dtype)
+    start = 0
+    for s in sizes:
+        block = rng.standard_normal((s, s))
+        if dtype is complex:
+            block = block + 1j * rng.standard_normal((s, s))
+        m[start : start + s, start : start + s] = block
+        start += s
+    return _permuted(rng, m)
+
+
+def _bidiagonal(rng, n):
+    return np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_spectral_norm_of_a_permuted_direct_sum(dtype):
+    rng = np.random.default_rng([20240811, dtype is complex])
+    x = _permuted_direct_sum(rng, (3, 5, 1), dtype)
+    sizes = sorted(b.shape for b in _diagonal_blocks(_as_matrix(x)))
+    # the 1x1 block and the zero row and column make two blocks of size 1
+    assert sizes == [(1, 3, 3), (1, 5, 5), (2, 1, 1)]
+    full = np.linalg.svd(x, compute_uv=False)[0]
+    assert schatten_norm(x, math.inf) == pytest.approx(full, rel=1e-14)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _bidiagonal(rng, 256),
+        lambda rng: _permuted(rng, _bidiagonal(rng, 256)),
+        lambda rng: _ginibre(rng, 12),
+    ],
+    ids=["bidiagonal-256", "permuted-bidiagonal-256", "dense-12"],
+)
+def test_spectral_norm_of_one_block_is_the_full_svd(make):
+    # a bidiagonal pattern is one block found by the longest search; permuted,
+    # the search leaves its root in both directions along the chain
+    x = make(np.random.default_rng(20240819))
+    assert len(_diagonal_blocks(_as_matrix(x))) == 1
+    assert schatten_norm(x, math.inf) == np.linalg.svd(x, compute_uv=False)[0]
 
 
 def test_schatten_norm_large_p_no_overflow():

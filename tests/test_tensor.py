@@ -136,14 +136,17 @@ def test_divergence_table_strictly_increasing_above_one():
 
 
 def test_divergence_table_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="per_factor"):
         steps_to_exceed(-1.0, 10.0)
+    with pytest.raises(ValueError, match="per_factor"):
+        steps_to_exceed(math.nan, 10.0)
+    with pytest.raises(ValueError, match="threshold"):
+        steps_to_exceed(2.0, math.nan)
 
 
 def test_steps_to_exceed():
     assert steps_to_exceed(1.0, 10.0) is None
     assert steps_to_exceed(2.0, math.inf) is None
-    assert steps_to_exceed(2.0, math.nan) is None
     # thresholds below the factor are passed by the first power
     assert steps_to_exceed(0.5, 0.1) == 1
     assert steps_to_exceed(2.0, -1.0) == 1
