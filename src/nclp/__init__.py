@@ -23,7 +23,7 @@ from .embed import (
     exact_norm_p2,
     upper_bound,
 )
-from .matcore import PositiveMatrix, dual_element, schatten_norm
+from .matcore import dual_element, schatten_norm
 from .normest import NormEstimate, estimate_norm
 from .qubitfamily import (
     QubitWitness,
@@ -49,7 +49,6 @@ __all__ = [
     "CompatibilityReport",
     "EmbeddedMap",
     "NormEstimate",
-    "PositiveMatrix",
     "QubitWitness",
     "Source",
     "State",

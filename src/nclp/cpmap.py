@@ -1,4 +1,5 @@
-"""Superoperators on M_n: Choi matrices, positivity tests, state compatibility.
+"""Superoperators on M_n: Choi matrices, positivity tests, faithful states
+with their fractional powers, and state compatibility.
 
 Vectorization convention (used everywhere in the package): column stacking,
 ``vec(X)[i + n*j] = X[i, j]``, so ``vec(A X B) = (B^T kron A) vec(X)``.
@@ -12,10 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import PositiveMatrix, _as_matrix, _diagonal_blocks, _hermitian_part, schatten_norm
+from .matcore import _as_matrix, _diagonal_blocks, _hermitian_part, schatten_norm
 
 CP_TOL = 1e-10
 UNITAL_TOL = 1e-10
+# Relative tolerance for accepting / silently repairing Hermitian asymmetry.
+HERMITICITY_RTOL = 1e-12
+# An eigenvalue below -EIG_CLIP_RTOL * lambda_max refuses a density as not PSD.
+EIG_CLIP_RTOL = 1e-12
 # lambda_min / lambda_max above this ratio counts as faithful (invertible).
 FAITHFUL_RTOL = 1e-12
 TRACE_TOL = 1e-12
@@ -38,31 +43,59 @@ def _matrix_units(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class State:
-    """Faithful state on M_n, represented by its density matrix."""
+    """Faithful state on M_n, represented by its density matrix.
 
-    gamma: PositiveMatrix
+    ``matrix`` is Hermitian with unit trace; ``eigenvalues`` are its spectrum,
+    positive and sorted descending, and ``eigenvectors`` holds the matching
+    orthonormal columns.
+    """
+
+    matrix: np.ndarray
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @classmethod
     def from_matrix(cls, g) -> "State":
-        gamma = g if isinstance(g, PositiveMatrix) else PositiveMatrix.from_matrix(g)
-        tr = float(np.trace(gamma.matrix).real)
+        m = _as_matrix(g)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"positive matrix must be square, got {m.shape}")
+        scale = np.abs(m).max()
+        asym = np.abs(m - m.conj().T).max()
+        if scale > 0 and asym > HERMITICITY_RTOL * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
+                f"{HERMITICITY_RTOL:g} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
+            )
+        herm = _hermitian_part(m)
+        w, v = np.linalg.eigh(herm)
+        w, v = w[::-1].copy(), v[:, ::-1].copy()  # descending
+        if w[-1] < -EIG_CLIP_RTOL * max(w[0], 0.0):
+            raise ValueError(
+                f"matrix is not positive semidefinite: min eigenvalue {w[-1]:.3e}"
+            )
+        tr = float(np.trace(herm).real)
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix must have unit trace, got {tr!r}")
-        w = gamma.eigenvalues
         if w[-1] <= FAITHFUL_RTOL * w[0]:
             raise ValueError(
                 "state is not faithful: smallest eigenvalue "
                 f"{w[-1]:.3e} <= {FAITHFUL_RTOL:g} * {w[0]:.3e}"
             )
-        return cls(gamma=gamma)
+        for a in (herm, w, v):
+            a.setflags(write=False)
+        return cls(matrix=herm, eigenvalues=w, eigenvectors=v)
 
     @property
     def dim(self) -> int:
-        return self.gamma.dim
+        return self.matrix.shape[0]
 
     def power(self, s: float) -> np.ndarray:
-        """Matrix of gamma**s."""
-        return self.gamma.power(s).matrix
+        """Matrix of gamma**s, from the cached spectral decomposition."""
+        ws = self.eigenvalues**s
+        v = self.eigenvectors
+        if s < 0:  # powers of a descending spectrum come out ascending
+            ws, v = ws[::-1], v[:, ::-1].copy()
+        return _hermitian_part((v * ws) @ v.conj().T)
 
 
 class SuperOperator:
@@ -191,7 +224,7 @@ def compatibility(t: SuperOperator, state: State) -> CompatibilityReport:
     """Compute C1, C_inf, unitality, and the Choi positivity flag."""
     if t.dim != state.dim:
         raise ValueError(f"dimension mismatch: map {t.dim}, state {state.dim}")
-    gamma = state.gamma.matrix
+    gamma = state.matrix
     inv_sqrt = state.power(-0.5)
     # T*(Gamma) = unvec(K^* vec(Gamma)), read off K without copying K^*
     tgam = unvec((vec(gamma).conj() @ t.action_matrix).conj(), t.dim)

@@ -1,21 +1,16 @@
-"""Dense matrix kernel: Schatten norms, dual elements, fractional powers.
+"""Dense matrix kernel: Schatten norms and dual elements.
 
 Everything here is a pure function of immutable inputs; matrices are plain
 numpy arrays, float64 when exactly real and complex128 otherwise (see
-:func:`_as_matrix`), and positive matrices carry a cached eigendecomposition.
+:func:`_as_matrix`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-# Relative tolerance for accepting / silently repairing Hermitian asymmetry.
-HERMITICITY_RTOL = 1e-12
-# Eigenvalues in [-EIG_CLIP_RTOL * lambda_max, 0) are clipped to 0.
-EIG_CLIP_RTOL = 1e-12
 # Singular values <= SUPPORT_RTOL * sigma_max count as numerically zero.
 SUPPORT_RTOL = 1e-12
 
@@ -165,68 +160,3 @@ def _norm_and_dual(u, s, vh, p: float) -> tuple[np.ndarray, np.ndarray]:
         scale = (top / np.where(norms == 0.0, 1.0, norms)) ** (p - 1.0)
         weights = ratio ** (p - 1.0) * scale[..., None]
     return norms, (u * weights[..., None, :]) @ vh
-
-
-@dataclass(frozen=True)
-class PositiveMatrix:
-    """Hermitian positive-semidefinite matrix with cached eigendecomposition.
-
-    ``eigenvalues`` are real, clipped at zero and sorted descending;
-    ``eigenvectors`` holds the matching orthonormal columns.
-    """
-
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @classmethod
-    def from_matrix(cls, h) -> "PositiveMatrix":
-        m = _as_matrix(h)
-        n, nc = m.shape
-        if n != nc:
-            raise ValueError(f"positive matrix must be square, got {m.shape}")
-        scale = np.abs(m).max()
-        asym = np.abs(m - m.conj().T).max()
-        if scale > 0 and asym > HERMITICITY_RTOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
-                f"{HERMITICITY_RTOL:g} * max|entry| = {HERMITICITY_RTOL * scale:.3e}"
-            )
-        herm = _hermitian_part(m)
-        w, v = np.linalg.eigh(herm)
-        w, v = w[::-1].copy(), v[:, ::-1].copy()  # descending
-        lam_max = max(w[0], 0.0)
-        if w[-1] < -EIG_CLIP_RTOL * lam_max:
-            raise ValueError(
-                f"matrix is not positive semidefinite: min eigenvalue {w[-1]:.3e}"
-            )
-        np.clip(w, 0.0, None, out=w)
-        w.setflags(write=False)
-        v.setflags(write=False)
-        herm.setflags(write=False)
-        return cls(matrix=herm, eigenvalues=w, eigenvectors=v)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def power(self, s: float) -> "PositiveMatrix":
-        """Fractional power via the cached spectral decomposition."""
-        w = self.eigenvalues
-        if s < 0 and w[-1] <= SUPPORT_RTOL * w[0]:
-            raise np.linalg.LinAlgError(
-                f"negative power {s} of a numerically singular matrix "
-                f"(min/max eigenvalue ratio {w[-1] / w[0] if w[0] else 0.0:.3e})"
-            )
-        ws = w**s
-        v = self.eigenvectors
-        if s < 0:  # powers of a descending spectrum come out ascending
-            ws, v = ws[::-1].copy(), v[:, ::-1].copy()
-        mat = (v * ws) @ v.conj().T
-        mat = _hermitian_part(mat)
-        ws.setflags(write=False)
-        v = v.copy()
-        v.setflags(write=False)
-        mat.setflags(write=False)
-        return PositiveMatrix(matrix=mat, eigenvalues=ws, eigenvectors=v)
-

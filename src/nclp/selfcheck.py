@@ -23,7 +23,7 @@ from .embed import (
     exact_norm_p2,
     upper_bound,
 )
-from .matcore import PositiveMatrix, _hermitian_part, dual_element, schatten_norm
+from .matcore import _hermitian_part, dual_element, schatten_norm
 from .normest import estimate_norm
 from .qubitfamily import (
     alpha,
@@ -44,6 +44,10 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+    def __post_init__(self):
+        # checks compare numpy scalars; the report is JSON, which needs a bool
+        object.__setattr__(self, "passed", bool(self.passed))
 
 
 def _rng(seed: int, index: int) -> np.random.Generator:
@@ -72,7 +76,8 @@ def _random_cp_map(rng, n: int) -> SuperOperator:
 def _random_unital_cp_map(rng, n: int) -> SuperOperator:
     ops = [_ginibre(rng, n) for _ in range(3)]
     m = sum(a @ a.conj().T for a in ops)
-    msqrt_inv = PositiveMatrix.from_matrix(m).power(-0.5).matrix
+    tr = np.trace(m).real
+    msqrt_inv = State.from_matrix(m / tr).power(-0.5) / math.sqrt(tr)
     return SuperOperator.from_kraus([msqrt_inv @ a for a in ops])
 
 
@@ -128,23 +133,6 @@ def check_p_monotonicity(seed: int) -> CheckResult:
     return CheckResult("matcore.p_monotonicity", worst <= 1e-12, f"max violation {worst:.2e}")
 
 
-def check_frac_power_homomorphism(seed: int) -> CheckResult:
-    rng = _rng(seed, 4)
-    errs = []
-    for n in (2, 3):
-        g = _ginibre(rng, n)
-        pm = PositiveMatrix.from_matrix(g @ g.conj().T + 0.2 * np.eye(n))
-        for s, t in (
-            (0.5, 0.5), (-1.0, -1.0), (2.0, -0.5), (1.5, 0.8), (-2.0, 0.3), (1.7, 0.9),
-            (-2.0, -0.4),
-        ):
-            lhs = pm.power(s).power(t).matrix
-            rhs = pm.power(s * t).matrix
-            errs.append(np.abs(lhs - rhs).max() / np.abs(rhs).max())
-    err = _worst(errs)
-    return CheckResult("matcore.frac_power_homomorphism", err <= 1e-10, f"max rel err {err:.2e}")
-
-
 def check_dual_certificate(seed: int) -> CheckResult:
     rng = _rng(seed, 5)
     errs = []
@@ -182,6 +170,26 @@ def check_gradient_fd(seed: int) -> CheckResult:
 # cpmap
 
 
+def check_frac_power_homomorphism(seed: int) -> CheckResult:
+    rng = _rng(seed, 4)
+    errs = []
+    for n in (2, 3):
+        g = _ginibre(rng, n)
+        h = g @ g.conj().T + 0.2 * np.eye(n)
+        state = State.from_matrix(h / np.trace(h).real)
+        for s, t in (
+            (0.5, 0.5), (-1.0, -1.0), (2.0, -0.5), (1.5, 0.8), (-2.0, 0.3), (1.7, 0.9),
+            (-2.0, -0.4),
+        ):
+            gs = state.power(s)
+            tr = np.trace(gs).real
+            lhs = State.from_matrix(gs / tr).power(t) * tr**t
+            rhs = state.power(s * t)
+            errs.append(np.abs(lhs - rhs).max() / np.abs(rhs).max())
+    err = _worst(errs)
+    return CheckResult("cpmap.frac_power_homomorphism", err <= 1e-10, f"max rel err {err:.2e}")
+
+
 def check_choi_adjoint_duality(seed: int) -> CheckResult:
     rng = _rng(seed, 7)
     errs = []
@@ -216,7 +224,7 @@ def check_c1_certificate(seed: int) -> CheckResult:
         t = _random_cp_map(rng, n)
         state = _random_state(rng, n)
         c1 = compatibility(t, state).c1
-        gamma = state.gamma.matrix
+        gamma = state.matrix
         tgam = t.adjoint()(gamma)
 
         def lam_min(cc):

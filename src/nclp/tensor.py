@@ -46,7 +46,7 @@ def kron_state(s1: State, s2: State) -> State:
     Each factor's trace is within TRACE_TOL of 1, but their product's need
     not be; the division keeps every power of an accepted state accepted.
     """
-    g = np.kron(s1.gamma.matrix, s2.gamma.matrix)
+    g = np.kron(s1.matrix, s2.matrix)
     return State.from_matrix(g / np.trace(g).real)
 
 

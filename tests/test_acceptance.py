@@ -4,12 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; tolerances are fixed here and never loosened at runtime.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from nclp import cli, selfcheck
+from nclp import cli
 from nclp.cpmap import SuperOperator, compatibility
 from nclp.embed import build_embedded, exact_norm_p2, upper_bound
 from nclp.normest import estimate_norm
@@ -251,13 +252,16 @@ def test_criterion_8_phase_diagram_regression(tmp_path):
     )
 
 
-def test_criterion_9_invariant_suite():
-    results = selfcheck.run_all(SEED)
-    failures = [r.name for r in results if not r.passed]
+def test_criterion_9_invariant_suite(tmp_path):
+    out = tmp_path / "verify.json"
+    code = cli.main(["verify", "--seed", str(SEED), "--out", str(out)])
+    report = json.loads(out.read_text())
+    checks = report["checks"]
+    failures = report["failures"]
     _report(
         9,
-        not failures,
-        f"{len(results) - len(failures)}/{len(results)} invariant checks passed"
+        code == 0 and report["passed"] is True and len(checks) == 31 and not failures,
+        f"exit {code}; {len(checks) - len(failures)}/{len(checks)} invariant checks passed"
         + (f"; failures: {failures}" if failures else ""),
     )
 

@@ -17,7 +17,7 @@ def superop_json(t, kind="action"):
 
 
 QUBIT_MAP_06 = superop_json(qubit_map(0.6))
-QUBIT_STATE_06 = {"dim": 2, "data": cli.encode_matrix(qubit_state(0.6).gamma.matrix)}
+QUBIT_STATE_06 = {"dim": 2, "data": cli.encode_matrix(qubit_state(0.6).matrix)}
 IDENTITY_MAP = superop_json(SuperOperator.identity(2))
 
 
@@ -84,7 +84,7 @@ def test_decode_superop_rejects_malformed():
 
 
 def test_decode_state_accepts_bare_matrix_or_wrapper():
-    bare = cli.decode_state(cli.encode_matrix(qubit_state(0.25).gamma.matrix))
+    bare = cli.decode_state(cli.encode_matrix(qubit_state(0.25).matrix))
     wrapped = cli.decode_state(QUBIT_STATE_06)
     assert bare.dim == wrapped.dim == 2
 
@@ -276,7 +276,7 @@ def test_norm_refuses_non_finite_report(tmp_path, capsys):
     action = np.zeros((4, 4))
     action[0, 3] = 1e308
     huge = superop_json(SuperOperator(action))
-    state = {"dim": 2, "data": cli.encode_matrix(qubit_state(0.3).gamma.matrix)}
+    state = {"dim": 2, "data": cli.encode_matrix(qubit_state(0.3).matrix)}
     with np.errstate(all="ignore"):
         code, _ = run_norm(tmp_path, huge, state, ["--p", "2", "--theta", "0.3"])
     assert code == cli.EXIT_INVALID_INPUT

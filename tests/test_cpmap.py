@@ -231,7 +231,7 @@ def test_adjoint_is_involution():
 
 def test_qubit_adjoint_fixes_family_state():
     c = 0.35
-    gamma = qubit_state(c).gamma.matrix
+    gamma = qubit_state(c).matrix
     assert np.abs(qubit_map(c).adjoint()(gamma) - gamma).max() < 1e-14
 
 
@@ -308,6 +308,11 @@ def test_state_requires_unit_trace():
 def test_state_requires_faithfulness():
     with pytest.raises(ValueError):
         State.from_matrix(np.diag([1.0, 0.0]))
+    # a roundoff-sized negative eigenvalue passes the PSD rule, not this one
+    u = _random_unitary(RNG, 3)
+    w = np.array([0.6, 0.4 + 1e-14, -1e-14])
+    with pytest.raises(ValueError, match="not faithful"):
+        State.from_matrix((u * w) @ u.conj().T)
 
 
 def test_state_requires_positivity_near_the_float_limit():
@@ -317,5 +322,49 @@ def test_state_requires_positivity_near_the_float_limit():
 
 def test_state_accepts_qubit_family():
     s = qubit_state(0.5)
-    assert np.abs(s.gamma.matrix - 0.5 * np.eye(2)).max() < 1e-15
+    assert np.abs(s.matrix - 0.5 * np.eye(2)).max() < 1e-15
     assert s.dim == 2
+
+
+def test_state_rejects_asymmetric():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        State.from_matrix(np.array([[0.5, 1e-3], [0.0, 0.5]]))
+
+
+def test_state_repairs_tiny_asymmetry():
+    s = State.from_matrix(np.array([[0.5, 1e-14], [0.0, 0.5]]))
+    assert np.abs(s.matrix - s.matrix.conj().T).max() == 0.0
+
+
+def test_state_rejects_negative_spectrum():
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        State.from_matrix(np.diag([1.5, -0.5]))
+
+
+# ---------------------------------------------------------------------------
+# state powers
+
+
+def _random_density(n: int) -> np.ndarray:
+    g = _ginibre(RNG, n)
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_state_power_examples():
+    half = State.from_matrix(np.diag([0.36, 0.64])).power(0.5)
+    assert np.abs(half - np.diag([0.6, 0.8])).max() < 1e-12
+
+    assert np.abs(State.from_matrix(_random_density(3)).power(0.0) - np.eye(3)).max() < 1e-12
+
+    c = 0.6
+    inv = State.from_matrix(np.diag([1 - c, c])).power(-1.0)
+    assert np.abs(inv - np.diag([2.5, 5.0 / 3.0])).max() < 1e-12
+
+
+def test_state_reconstruction_from_spectrum():
+    s = State.from_matrix(_random_density(4))
+    assert np.all(np.diff(s.eigenvalues) <= 0)
+    rebuilt = (s.eigenvectors * s.eigenvalues) @ s.eigenvectors.conj().T
+    err = np.linalg.norm(rebuilt - s.matrix) / np.linalg.norm(s.matrix)
+    assert err < 1e-10

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nclp.matcore import (
-    PositiveMatrix,
     _as_matrix,
     _diagonal_blocks,
     dual_element,
@@ -151,64 +150,6 @@ def test_dual_element_p1_polar_on_support():
 def test_dual_element_rejects_zero():
     with pytest.raises(ValueError):
         dual_element(np.zeros((2, 2)), 2.0)
-
-
-# ---------------------------------------------------------------------------
-# PositiveMatrix.power
-
-
-def test_frac_power_examples():
-    half = PositiveMatrix.from_matrix(np.diag([0.36, 0.64])).power(0.5).matrix
-    assert np.abs(half - np.diag([0.6, 0.8])).max() < 1e-12
-
-    g = _ginibre(RNG, 3)
-    pm = PositiveMatrix.from_matrix(g @ g.conj().T)
-    assert np.abs(pm.power(0.0).matrix - np.eye(3)).max() < 1e-12
-
-    c = 0.6
-    inv = PositiveMatrix.from_matrix(np.diag([1 - c, c])).power(-1.0).matrix
-    assert np.abs(inv - np.diag([2.5, 5.0 / 3.0])).max() < 1e-12
-
-
-def test_frac_power_negative_power_of_singular_raises():
-    singular = np.diag([1.0, 0.0]).astype(complex)
-    pm = PositiveMatrix.from_matrix(singular)
-    with pytest.raises(np.linalg.LinAlgError):
-        pm.power(-0.5)
-    # non-negative powers of singular matrices are fine
-    assert np.abs(pm.power(0.5).matrix - singular).max() < 1e-12
-
-
-def test_positive_matrix_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        PositiveMatrix.from_matrix(np.array([[1.0, 1e-3], [0.0, 1.0]]))
-
-
-def test_positive_matrix_repairs_tiny_asymmetry():
-    h = np.array([[1.0, 1e-14], [0.0, 1.0]])
-    pm = PositiveMatrix.from_matrix(h)
-    assert np.abs(pm.matrix - pm.matrix.conj().T).max() == 0.0
-
-
-def test_positive_matrix_rejects_negative_spectrum():
-    with pytest.raises(ValueError):
-        PositiveMatrix.from_matrix(np.diag([1.0, -0.5]))
-
-
-def test_positive_matrix_clips_roundoff_negatives():
-    u = _random_unitary(RNG, 3)
-    w = np.array([1.0, 0.5, -1e-14])
-    pm = PositiveMatrix.from_matrix((u * w) @ u.conj().T)
-    assert pm.eigenvalues.min() >= 0.0
-    assert np.all(np.diff(pm.eigenvalues) <= 0)
-
-
-def test_positive_matrix_reconstruction():
-    g = _ginibre(RNG, 4)
-    pm = PositiveMatrix.from_matrix(g @ g.conj().T)
-    rebuilt = (pm.eigenvectors * pm.eigenvalues) @ pm.eigenvectors.conj().T
-    err = np.linalg.norm(rebuilt - pm.matrix) / np.linalg.norm(pm.matrix)
-    assert err < 1e-10
 
 
 # ---------------------------------------------------------------------------

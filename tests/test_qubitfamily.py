@@ -28,15 +28,15 @@ from nclp.qubitfamily import (
 
 
 def test_qubit_state_values():
-    assert np.abs(qubit_state(0.5).gamma.matrix - np.diag([0.5, 0.5])).max() < 1e-15
-    assert np.abs(qubit_state(0.6).gamma.matrix - np.diag([0.4, 0.6])).max() < 1e-15
+    assert np.abs(qubit_state(0.5).matrix - np.diag([0.5, 0.5])).max() < 1e-15
+    assert np.abs(qubit_state(0.6).matrix - np.diag([0.4, 0.6])).max() < 1e-15
 
 
 def test_qubit_state_spectrum():
     for c in (0.1, 0.37, 0.93):
         s = qubit_state(c)
-        assert np.trace(s.gamma.matrix).real == pytest.approx(1.0, abs=1e-15)
-        assert s.gamma.eigenvalues.min() == pytest.approx(min(c, 1 - c), abs=1e-15)
+        assert np.trace(s.matrix).real == pytest.approx(1.0, abs=1e-15)
+        assert s.eigenvalues.min() == pytest.approx(min(c, 1 - c), abs=1e-15)
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, -0.2, 1.7])
@@ -50,7 +50,7 @@ def test_qubit_map_unital_cp_state_preserving():
         t = qubit_map(c)
         assert is_completely_positive(t)
         assert np.abs(t(np.eye(2)) - np.eye(2)).max() < 1e-14
-        gamma = qubit_state(c).gamma.matrix
+        gamma = qubit_state(c).matrix
         assert np.abs(t.adjoint()(gamma) - gamma).max() < 1e-14
 
 

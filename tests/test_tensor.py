@@ -88,8 +88,8 @@ def test_kron_state_is_product_state():
     s1, s2 = qubit_state(0.3), qubit_state(0.8)
     prod = kron_state(s1, s2)
     assert prod.dim == 4
-    expected = np.kron(s1.gamma.matrix, s2.gamma.matrix)
-    assert np.abs(prod.gamma.matrix - expected).max() < 1e-14
+    expected = np.kron(s1.matrix, s2.matrix)
+    assert np.abs(prod.matrix - expected).max() < 1e-14
 
 
 def test_powers_of_an_accepted_state_stay_accepted():
@@ -99,7 +99,7 @@ def test_powers_of_an_accepted_state_stay_accepted():
     for k in (2, 3, 4):
         power = kron_state(power, base)
         assert power.dim == 2**k
-        assert abs(np.trace(power.gamma.matrix) - 1.0) <= 1e-15 * 2**k
+        assert abs(np.trace(power.matrix) - 1.0) <= 1e-15 * 2**k
 
 
 def test_real_family_stays_float64():
