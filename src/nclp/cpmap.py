@@ -128,11 +128,13 @@ class SuperOperator:
     def from_kraus(cls, ops) -> "SuperOperator":
         """Map X -> sum_i A_i X A_i^*."""
         mats = [_as_matrix(a) for a in ops]
+        if not mats:
+            raise ValueError("from_kraus needs at least one Kraus operator")
         n = mats[0].shape[0]
-        k = np.zeros((n * n, n * n), dtype=complex)
-        for a in mats:
-            k += np.kron(a.conj(), a)
-        return cls(k)
+        if any(a.shape != (n, n) for a in mats):
+            shapes = [a.shape for a in mats]
+            raise ValueError(f"Kraus operators must be square and of one size, got {shapes}")
+        return cls(sum(np.kron(a.conj(), a) for a in mats))
 
     @classmethod
     def from_choi(cls, choi) -> "SuperOperator":

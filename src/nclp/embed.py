@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .cpmap import CompatibilityReport, State, SuperOperator
-from .matcore import schatten_norm
+from .matcore import _diagonal_blocks
 from .qubitfamily import theta_thresholds
 
 
@@ -85,10 +85,13 @@ def build_embedded(
 
 def exact_norm_p2(emap: EmbeddedMap) -> float:
     """Induced norm at p = 2: S^2 is a Hilbert space, so this is the largest
-    singular value of the n^2 x n^2 action matrix."""
+    singular value of the n^2 x n^2 action matrix, read per diagonal block
+    (one values-only SVD per block size): the family's k-th tensor power
+    splits into 2^k blocks of size 2^k."""
     if emap.p != 2.0:
         raise ValueError(f"exact norm only available at p = 2, got p = {emap.p}")
-    return schatten_norm(emap.u_action.action_matrix, math.inf)
+    blocks = _diagonal_blocks(emap.u_action.action_matrix)
+    return max(float(np.linalg.svd(b, compute_uv=False)[:, 0].max()) for b in blocks)
 
 
 def upper_bound(

@@ -46,37 +46,37 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
 
 def _diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
     """The diagonal blocks of a square matrix under the permutation that
-    makes it block diagonal, as one (k, s, s) stack per block size s.
+    makes it block diagonal, as one (k, s, s) stack per block size s; only
+    ``embed.exact_norm_p2`` and the CP test factor per block.
 
     Indices i and j share a block when a chain of entries with
     ``m[i, j] != 0`` or ``m[j, i] != 0`` joins them, so only exact zeros
     split and every entry outside the blocks is zero, as is its mirror.
     Each block keeps its indices in ascending order, so a matrix that does
-    not split comes back whole.  A breadth-first search finds the blocks;
-    each vectorized frontier step adds at least one index, so there are at
-    most N steps.
+    not split comes back whole.  Each index starts labelled by itself; each
+    round hooks every label onto the least label linked to it and follows
+    labels to their fixed point, and a round that changes nothing leaves
+    each block labelled by its least index.
     """
-    n = m.shape[0]
     linked = m != 0
-    if linked.all():  # the common dense case needs no search
+    if linked.all():  # the common dense case needs no labelling
         return [m[None]]
-    linked |= linked.T
-    np.fill_diagonal(linked, False)
-    # an index linked to no other is a 1x1 block; they are set aside at once
-    seen = ~linked.any(axis=0)
-    blocks = {1: [np.flatnonzero(seen)]} if seen.any() else {}
-    while not seen.all():
-        frontier = seen.argmin(keepdims=True)
-        members = []
-        while frontier.size:
-            seen[frontier] = True
-            members.append(frontier)
-            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
-        block = np.sort(np.concatenate(members))
-        blocks.setdefault(block.size, []).append(block)
+    i, j = np.nonzero(linked | linked.T)
+    label = np.arange(m.shape[0])
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, label[i], label[j])
+        jumped = hooked[hooked]
+        while not np.array_equal(jumped, hooked):
+            hooked, jumped = jumped, jumped[jumped]
+        if np.array_equal(hooked, label):
+            break
+        label = hooked
+    order = np.argsort(label, kind="stable")
+    size = np.bincount(label)[label[order]]
     stacks = []
-    for size, group in blocks.items():
-        idx = np.concatenate(group).reshape(-1, size)
+    for s in np.flatnonzero(np.bincount(size)):
+        idx = order[size == s].reshape(-1, s)
         stacks.append(m[idx[:, :, None], idx[:, None, :]])
     return stacks
 
@@ -91,18 +91,11 @@ def schatten_norm(x, p: float) -> float:
     p : float
         Exponent in [1, inf].
 
-    The spectral norm of a square matrix is the largest over its
-    :func:`_diagonal_blocks`, with one values-only SVD per block size.
+    One values-only SVD of the whole matrix, for every p and shape.
     """
     if not (p >= 1.0):
         raise ValueError(f"Schatten exponent must satisfy p >= 1, got {p}")
-    m = _as_matrix(x)
-    if math.isinf(p) and m.shape[0] == m.shape[1]:
-        return max(
-            float(np.linalg.svd(b, compute_uv=False)[:, 0].max())
-            for b in _diagonal_blocks(m)
-        )
-    return float(_norms(np.linalg.svd(m, compute_uv=False), p))
+    return float(_norms(np.linalg.svd(_as_matrix(x), compute_uv=False), p))
 
 
 def dual_element(x, p: float) -> np.ndarray:

@@ -57,6 +57,21 @@ def test_apply_dimension_mismatch():
         t(np.eye(3))
 
 
+def test_from_kraus_refuses_no_operators():
+    with pytest.raises(ValueError, match="at least one Kraus operator"):
+        SuperOperator.from_kraus([])
+
+
+@pytest.mark.parametrize(
+    "ops",
+    [[np.ones((2, 3))], [np.eye(2), np.eye(3)]],
+    ids=["non-square", "mismatched"],
+)
+def test_from_kraus_refuses_operators_of_the_wrong_shape(ops):
+    with pytest.raises(ValueError, match="square and of one size"):
+        SuperOperator.from_kraus(ops)
+
+
 def test_linearity_from_action_matrix():
     t = SuperOperator(_ginibre(RNG, 9))
     x, y = _ginibre(RNG, 3), _ginibre(RNG, 3)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from nclp.cpmap import SuperOperator
+from nclp.embed import EmbeddedMap, exact_norm_p2
 from nclp.matcore import (
     _as_matrix,
     _diagonal_blocks,
@@ -76,15 +78,23 @@ def _bidiagonal(rng, n):
     return np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
 
 
+def _p2_norm(x):
+    """exact_norm_p2 of the map whose action matrix is x."""
+    return exact_norm_p2(EmbeddedMap(2.0, SuperOperator(x)))
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_spectral_norm_of_a_permuted_direct_sum(dtype):
+    # exact_norm_p2 reads sigma_max per diagonal block; it must equal the
+    # full SVD's (this replaces the schatten_norm assertion, which now takes
+    # one SVD and equals the full SVD by construction)
     rng = np.random.default_rng([20240811, dtype is complex])
-    x = _permuted_direct_sum(rng, (3, 5, 1), dtype)
+    x = _permuted_direct_sum(rng, (3, 5, 1, 6), dtype)
     sizes = sorted(b.shape for b in _diagonal_blocks(_as_matrix(x)))
     # the 1x1 block and the zero row and column make two blocks of size 1
-    assert sizes == [(1, 3, 3), (1, 5, 5), (2, 1, 1)]
+    assert sizes == [(1, 3, 3), (1, 5, 5), (1, 6, 6), (2, 1, 1)]
     full = np.linalg.svd(x, compute_uv=False)[0]
-    assert schatten_norm(x, math.inf) == pytest.approx(full, rel=1e-14)
+    assert _p2_norm(x) == pytest.approx(full, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -92,16 +102,83 @@ def test_spectral_norm_of_a_permuted_direct_sum(dtype):
     [
         lambda rng: _bidiagonal(rng, 256),
         lambda rng: _permuted(rng, _bidiagonal(rng, 256)),
-        lambda rng: _ginibre(rng, 12),
+        lambda rng: _ginibre(rng, 16),
     ],
-    ids=["bidiagonal-256", "permuted-bidiagonal-256", "dense-12"],
+    ids=["bidiagonal-256", "permuted-bidiagonal-256", "dense-16"],
 )
 def test_spectral_norm_of_one_block_is_the_full_svd(make):
-    # a bidiagonal pattern is one block found by the longest search; permuted,
-    # the search leaves its root in both directions along the chain
+    # a bidiagonal pattern is one block joined by the longest chain; permuted,
+    # the chain's labels arrive from both directions.  exact_norm_p2 factors
+    # the one block whole, so it equals the full SVD bit for bit (this
+    # replaces the schatten_norm assertion, equal to the full SVD by
+    # construction)
     x = make(np.random.default_rng(20240819))
     assert len(_diagonal_blocks(_as_matrix(x))) == 1
-    assert schatten_norm(x, math.inf) == np.linalg.svd(x, compute_uv=False)[0]
+    assert _p2_norm(x) == np.linalg.svd(x, compute_uv=False)[0]
+
+
+def _components(m):
+    """The blocks of m as sorted index lists, by a plain union-find that
+    joins i and j for every entry m[i, j] != 0."""
+    parent = list(range(m.shape[0]))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(*np.nonzero(m)):
+        parent[find(int(i))] = find(int(j))
+    groups = {}
+    for i in range(m.shape[0]):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+def _random_pattern(rng):
+    """A matrix of size 1..40 whose entries are nonzero only inside the
+    parts of a random partition, with random density, single entries
+    without a mirror, and zero rows (some with their columns), in a random
+    permutation."""
+    n = int(rng.integers(1, 41))
+    part = rng.integers(0, rng.integers(1, n + 1), n)
+    keep = (part[:, None] == part[None, :]) & (rng.random((n, n)) < rng.uniform(0.02, 1.0))
+    dtype = complex if rng.random() < 0.5 else float
+    m = np.where(keep, rng.standard_normal((n, n)), 0.0).astype(dtype)
+    for _ in range(int(rng.integers(0, 3))):
+        i, j = rng.integers(0, n, 2)
+        m[i, j], m[j, i] = 1.0, 0.0
+    for i in rng.choice(n, int(rng.integers(0, n // 4 + 1)), replace=False):
+        m[i] = 0.0
+        if rng.random() < 0.5:
+            m[:, i] = 0.0
+    perm = rng.permutation(n)
+    return m[np.ix_(perm, perm)]
+
+
+def test_diagonal_blocks_match_an_independent_labelling():
+    rng = np.random.default_rng(20261019)
+    for _ in range(200):
+        m = _random_pattern(rng)
+        n = m.shape[0]
+        # the diagonal links nothing, so tagging it with 1..n names each
+        # block's indices without changing the blocks
+        tagged = m.copy()
+        np.fill_diagonal(tagged, np.arange(1.0, n + 1.0))
+        stacks = _diagonal_blocks(tagged)
+        sizes = [st.shape[-1] for st in stacks]
+        assert len(set(sizes)) == len(sizes)  # one stack per size
+        blocks = [np.diagonal(b).real.astype(int) - 1 for st in stacks for b in st]
+        assert all((np.diff(b) > 0).all() for b in blocks)  # ascending
+        assert sorted(b.tolist() for b in blocks) == _components(m)
+        # the untagged matrix gives the same blocks, read off m itself
+        flat = [b for st in _diagonal_blocks(m) for b in st]
+        assert len(flat) == len(blocks)
+        inside = np.zeros((n, n), dtype=bool)
+        for b, idx in zip(flat, blocks):
+            assert np.array_equal(b, m[np.ix_(idx, idx)])
+            inside[np.ix_(idx, idx)] = True
+        assert not m[~inside].any() and not m.T[~inside].any()
 
 
 def test_schatten_norm_large_p_no_overflow():
