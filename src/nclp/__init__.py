@@ -18,16 +18,17 @@ from .embed import (
     EmbeddedMap,
     Source,
     Status,
+    Thresholds,
     build_embedded,
     classify_region,
     exact_norm_p2,
+    theta_thresholds,
     upper_bound,
 )
 from .matcore import dual_element, schatten_norm
 from .normest import NormEstimate, estimate_norm
 from .qubitfamily import (
     QubitWitness,
-    Thresholds,
     alpha,
     alpha1,
     delta,
@@ -39,7 +40,6 @@ from .qubitfamily import (
     optimal_ab,
     qubit_map,
     qubit_state,
-    theta_thresholds,
 )
 from .tensor import kron_state, kron_superop
 

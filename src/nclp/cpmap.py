@@ -36,6 +36,14 @@ def unvec(v: np.ndarray, n: int) -> np.ndarray:
     return v.reshape((n, n), order="F")
 
 
+def _apply(action: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The map with n^2 x n^2 ``action`` applied to each matrix of a (k, n, n)
+    stack, one matrix-vector product each, so no image depends on the others."""
+    k, n, _ = ys.shape
+    vecs = ys.transpose(0, 2, 1).reshape(k, n * n, 1)
+    return (action @ vecs).reshape(k, n, n).transpose(0, 2, 1)
+
+
 def _matrix_units(n: int) -> np.ndarray:
     """The (n^2, n, n) stack of matrix units in vec order: entry i + n*j is E_ij."""
     return np.eye(n * n, dtype=complex).reshape(n * n, n, n).transpose(0, 2, 1)
@@ -157,7 +165,7 @@ class SuperOperator:
                 f"dimension mismatch: map acts on {self.dim}x{self.dim}, "
                 f"got {m.shape}"
             )
-        return unvec(self.action_matrix @ vec(m), self.dim)
+        return _apply(self.action_matrix, m[None])[0]
 
     def adjoint(self) -> "SuperOperator":
         """Adjoint under the trace pairing <Y, T(X)> = tr(Y^* T(X))."""

@@ -6,8 +6,8 @@ For a map T, a faithful state with density Gamma, p in [1, inf) and theta in
     U(Y) = Gamma^((1-theta)/p) T(Gamma^(-(1-theta)/p) Y Gamma^(-theta/p)) Gamma^(theta/p)
 
 and its S^p -> S^p induced norm is the quantity the rest of the package
-estimates and bounds.  This module also classifies (p, theta) pairs into the
-known bounded / unbounded / unknown regions.
+estimates and bounds.  This module also holds the (p, theta) rules: the pair
+check, the threshold curves and the bounded / unbounded / unknown regions.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .cpmap import CompatibilityReport, State, SuperOperator
 from .matcore import _diagonal_blocks
-from .qubitfamily import theta_thresholds
 
 
 class Status(Enum):
@@ -47,6 +46,14 @@ class Source(Enum):
         return Status.BOUNDED
 
 
+def _check_p_theta(p: float, theta: float) -> None:
+    """Refuse all but finite p >= 1 and theta in [0, 1]; NaN fails both tests."""
+    if not (1.0 <= p < math.inf):
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+
+
 @dataclass(frozen=True)
 class EmbeddedMap:
     """The embedded action of a map, with the exponent p it was built for."""
@@ -66,10 +73,7 @@ def build_embedded(
     side and Ai, Bi on its column side as four n-point contractions: O(n^5)
     work, where the product (B^T kron A) K (Bi^T kron Ai) costs O(n^6).
     """
-    if not (1.0 <= p < math.inf):
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    _check_p_theta(p, theta)
     if base.dim != state.dim:
         raise ValueError(f"dimension mismatch: map {base.dim}, state {state.dim}")
     a = state.power((1.0 - theta) / p)
@@ -112,6 +116,21 @@ def upper_bound(
     return rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p), source
 
 
+@dataclass(frozen=True)
+class Thresholds:
+    """theta0 = (1 - sqrt(p-1))/2 and its mirror theta1 = 1 - theta0."""
+
+    theta0: float
+    theta1: float
+
+
+def theta_thresholds(p: float) -> Thresholds:
+    if not (1.0 <= p <= 2.0):
+        raise ValueError(f"thresholds are defined for p in [1, 2], got {p}")
+    half_width = 0.5 * math.sqrt(p - 1.0)
+    return Thresholds(theta0=0.5 - half_width, theta1=0.5 + half_width)
+
+
 def classify_region(p: float, theta: float) -> Source:
     """The result that classifies (p, theta); its ``status`` is bounded /
     unbounded / unknown.
@@ -120,10 +139,7 @@ def classify_region(p: float, theta: float) -> Source:
     its endpoints); the curves theta = (1 -+ sqrt(p-1))/2 are excluded from
     the unbounded region (points exactly on them are unknown).
     """
-    if not (1.0 <= p < math.inf):
-        raise ValueError(f"p must lie in [1, inf), got {p}")
-    if not (0.0 <= theta <= 1.0):
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    _check_p_theta(p, theta)
     if p >= 2.0:
         return Source.THM41
     if theta == 0.5:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .cpmap import SuperOperator, _matrix_units, unvec
+from .cpmap import SuperOperator, _apply, _matrix_units, unvec
 from .matcore import _as_matrix, _norm_and_dual, _norms, schatten_norm
 
 DEFAULT_SEED = 0xC0FFEE
@@ -68,17 +68,6 @@ class _Batch:
     iterations: np.ndarray
     converged: np.ndarray
     max_drop: np.ndarray
-
-
-def _apply(action: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """The map with n^2 x n^2 ``action`` applied to each matrix of a (k, n, n) stack.
-
-    One matrix-vector product per start, so no start's result depends on
-    the others.
-    """
-    k, n, _ = ys.shape
-    vecs = ys.transpose(0, 2, 1).reshape(k, n * n, 1)
-    return (action @ vecs).reshape(k, n, n).transpose(0, 2, 1)
 
 
 def _image(action: np.ndarray, ys: np.ndarray, p: float) -> tuple[np.ndarray, ...]:
@@ -160,8 +149,14 @@ def _normalize(ys: np.ndarray, p: float) -> np.ndarray:
     return ys / norms[:, None, None]
 
 
+def _check_integer(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer (a bool is not), got {value!r}")
+
+
 def _check_seed(seed: int) -> None:
-    """Refuse a seed outside [0, 2**128), the key range of the Ginibre draws."""
+    """Refuse a non-integer seed or one outside [0, 2**128), the Ginibre key range."""
+    _check_integer("seed", seed)
     if not (0 <= seed < 2**128):
         raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
 
@@ -230,8 +225,8 @@ def estimate_norm(
 
     Starts are, in order and the same at every n: caller-supplied ``starts``
     (normalized), the n^2 matrix units, then at most ``restarts`` Ginibre
-    draws keyed by (``seed``, restart index), with ``restarts`` at most
-    MAX_RESTARTS and ``seed`` in [0, 2**128).  The deterministic starts
+    draws keyed by (``seed``, restart index), with ``restarts`` an integer in
+    [1, MAX_RESTARTS] and ``seed`` one in [0, 2**128).  The deterministic starts
     ascend in one batch with draws 0..WAVE-1; each later wave ascends the
     next WAVE draws, and runs only while the wave before it raised the best
     value by more than REL_TOL relative.  So ``restarts`` is a cap, and
@@ -244,6 +239,7 @@ def estimate_norm(
     """
     if not (1.0 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
+    _check_integer("restarts", restarts)
     if not (1 <= restarts <= MAX_RESTARTS):
         raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")
     _check_seed(seed)
@@ -251,21 +247,17 @@ def estimate_norm(
         _user_starts(u.dim, p, starts)
         top = np.linalg.svd(u.action_matrix)[2][0].conj()
         witness = _normalize(unvec(top, u.dim)[None], p)[0]
-        return NormEstimate(
-            value=schatten_norm(u(witness), p),
-            witness=witness,
-            iterations=0,
-            restarts_used=0,
-            converged=True,
-        )
-    ys, run = _waves(u, p, restarts, seed, starts)
-    best = int(np.argmax(run.values))
-    witness = _normalize(run.witnesses[best:best + 1], p)[0]
-    value = schatten_norm(u(witness), p)
+        iterations, restarts_used, converged = 0, 0, True
+    else:
+        ys, run = _waves(u, p, restarts, seed, starts)
+        best = int(np.argmax(run.values))
+        witness = _normalize(run.witnesses[best:best + 1], p)[0]
+        iterations, restarts_used = int(run.iterations[best]), len(ys)
+        converged = bool(run.converged[best])
     return NormEstimate(
-        value=value,
+        value=schatten_norm(u(witness), p),
         witness=witness,
-        iterations=int(run.iterations[best]),
-        restarts_used=len(ys),
-        converged=bool(run.converged[best]),
+        iterations=iterations,
+        restarts_used=restarts_used,
+        converged=converged,
     )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmap import State, SuperOperator
+from .embed import _check_p_theta
 
 # Golden-section step 1/phi.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -44,11 +45,6 @@ _GRID_LOG_CC = np.log(_GRID_C * (1.0 - _GRID_C))
 def _check_c(c: float):
     if not (0.0 < c < 1.0):
         raise ValueError(f"family parameter must lie in (0, 1), got {c}")
-
-
-def _check_p_theta(p: float, theta: float):
-    if not (1.0 <= p < math.inf and 0.0 <= theta <= 1.0):
-        raise ValueError(f"need finite p >= 1 and theta in [0, 1], got ({p}, {theta})")
 
 
 def qubit_state(c: float) -> State:
@@ -148,21 +144,6 @@ def alpha1(theta: float) -> float:
     """First-order coefficient -2(2 theta - 1) of t -> m at p = 1."""
     _check_p_theta(1.0, theta)
     return -2.0 * (2.0 * theta - 1.0)
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """theta0 = (1 - sqrt(p-1))/2 and its mirror theta1 = 1 - theta0."""
-
-    theta0: float
-    theta1: float
-
-
-def theta_thresholds(p: float) -> Thresholds:
-    if not (1.0 <= p <= 2.0):
-        raise ValueError(f"thresholds are defined for p in [1, 2], got {p}")
-    half_width = 0.5 * math.sqrt(p - 1.0)
-    return Thresholds(theta0=0.5 - half_width, theta1=0.5 + half_width)
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .embed import (
     build_embedded,
     classify_region,
     exact_norm_p2,
+    theta_thresholds,
     upper_bound,
 )
 from .matcore import _hermitian_part, dual_element, schatten_norm
@@ -34,7 +35,6 @@ from .qubitfamily import (
     family_witness,
     qubit_map,
     qubit_state,
-    theta_thresholds,
 )
 from .tensor import kron_state, kron_superop
 

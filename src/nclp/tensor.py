@@ -44,7 +44,9 @@ def kron_state(s1: State, s2: State) -> State:
     """Product state with density gamma1 kron gamma2, divided by its trace.
 
     Each factor's trace is within TRACE_TOL of 1, but their product's need
-    not be; the division keeps every power of an accepted state accepted.
+    not be; the division keeps the trace at 1.  The product is accepted only
+    while lambda_min / lambda_max, the product of the factors' ratios, stays
+    above FAITHFUL_RTOL, so high enough powers of a state are refused.
     """
     g = np.kron(s1.matrix, s2.matrix)
     return State.from_matrix(g / np.trace(g).real)

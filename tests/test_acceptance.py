@@ -12,7 +12,7 @@ import pytest
 
 from nclp import cli
 from nclp.cpmap import SuperOperator, compatibility
-from nclp.embed import build_embedded, exact_norm_p2, upper_bound
+from nclp.embed import build_embedded, exact_norm_p2, theta_thresholds, upper_bound
 from nclp.normest import estimate_norm
 from nclp.qubitfamily import (
     alpha,
@@ -21,7 +21,6 @@ from nclp.qubitfamily import (
     find_counterexample,
     qubit_map,
     qubit_state,
-    theta_thresholds,
 )
 from nclp.selfcheck import _ginibre, _random_cp_map, _random_state
 from nclp.tensor import kron_state, kron_superop, steps_to_exceed

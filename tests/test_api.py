@@ -1,8 +1,21 @@
 import ast
 import inspect
+from pathlib import Path
 
 import nclp
 from nclp import selfcheck
+
+# Each module imports only from the layers below its own.
+LAYERS = [
+    {"matcore"},
+    {"cpmap"},
+    {"embed"},
+    {"normest", "qubitfamily", "tensor"},
+    {"cli", "selfcheck"},
+    {"__init__", "__main__"},
+]
+# cli imports selfcheck inside the verify command only.
+DEFERRED = {("cli", "selfcheck")}
 
 
 def test_all_names_resolve_once():
@@ -24,3 +37,33 @@ def test_every_check_is_registered_once():
         assert len(own) == 1, (fn.__name__, own)
         names.extend(own)
     assert len(names) == len(set(names))
+
+
+def _package_imports(tree: ast.AST):
+    """The nclp modules that a module's source imports, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("nclp"):
+                continue
+            parts = (node.module or "").split(".")[1 - node.level:]
+            if parts and parts[0]:
+                yield parts[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("nclp."):
+                    yield alias.name.split(".")[1]
+
+
+def test_modules_import_only_lower_layers():
+    rank = {name: i for i, layer in enumerate(LAYERS) for name in layer}
+    sources = sorted(Path(nclp.__file__).parent.glob("*.py"))
+    assert {path.stem for path in sources} == set(rank)
+    upward = [
+        (path.stem, target)
+        for path in sources
+        for target in _package_imports(ast.parse(path.read_text()))
+        if rank[target] >= rank[path.stem] and (path.stem, target) not in DEFERRED
+    ]
+    assert upward == []

@@ -10,6 +10,7 @@ from nclp.embed import (
     build_embedded,
     classify_region,
     exact_norm_p2,
+    theta_thresholds,
     upper_bound,
 )
 from nclp.qubitfamily import delta, qubit_map, qubit_state
@@ -60,16 +61,29 @@ def test_embedded_action_matches_direct_sandwich_on_units(n, theta, p):
             assert np.abs(emap.u_action(e) - direct).max() <= 1e-10
 
 
+P_RANGE = r"p must lie in \[1, inf\), got"
+THETA_RANGE = r"theta must lie in \[0, 1\], got"
+# (p, theta) pairs refused by the one check, with the message each one gets
+BAD_P_THETA = [
+    (math.inf, 0.5, P_RANGE),
+    (-math.inf, 0.5, P_RANGE),
+    (math.nan, 0.5, P_RANGE),
+    (0.9, 0.5, P_RANGE),
+    (2.0, 1.2, THETA_RANGE),
+    (2.0, -0.1, THETA_RANGE),
+    (1.5, math.nan, THETA_RANGE),
+    (1.5, math.inf, THETA_RANGE),
+    (1.5, -math.inf, THETA_RANGE),
+]
+
+
 def test_build_embedded_validates_arguments():
     t = SuperOperator.identity(2)
     s = qubit_state(0.5)
-    with pytest.raises(ValueError):
-        build_embedded(t, s, math.inf, 0.5)
-    with pytest.raises(ValueError):
-        build_embedded(t, s, 0.9, 0.5)
-    with pytest.raises(ValueError):
-        build_embedded(t, s, 2.0, 1.2)
-    with pytest.raises(ValueError):
+    for p, theta, message in BAD_P_THETA:
+        with pytest.raises(ValueError, match=message):
+            build_embedded(t, s, p, theta)
+    with pytest.raises(ValueError, match="dimension mismatch"):
         build_embedded(SuperOperator.identity(3), s, 2.0, 0.5)
 
 
@@ -199,8 +213,32 @@ def test_classify_region_threshold_value():
 
 
 def test_classify_region_validates_input():
+    for p, theta, message in BAD_P_THETA + [(0.5, 0.5, P_RANGE)]:
+        with pytest.raises(ValueError, match=message):
+            classify_region(p, theta)
+
+
+# ---------------------------------------------------------------------------
+# theta_thresholds
+
+
+def test_thresholds_table():
+    t1 = theta_thresholds(1.0)
+    assert (t1.theta0, t1.theta1) == (0.5, 0.5)
+    t2 = theta_thresholds(2.0)
+    assert (t2.theta0, t2.theta1) == (0.0, 1.0)
+    t125 = theta_thresholds(1.25)
+    assert t125.theta0 == pytest.approx(0.25, abs=1e-15)
+    assert t125.theta1 == pytest.approx(0.75, abs=1e-15)
+
+
+def test_thresholds_structure():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        p = float(rng.uniform(1.0, 2.0))
+        th = theta_thresholds(p)
+        assert th.theta0 + th.theta1 == pytest.approx(1.0, abs=1e-15)
+        assert th.theta0 <= 0.5 <= th.theta1
     with pytest.raises(ValueError):
-        classify_region(0.5, 0.5)
-    with pytest.raises(ValueError):
-        classify_region(2.0, -0.1)
+        theta_thresholds(2.5)
 

@@ -13,6 +13,7 @@ from nclp.normest import (
     REL_TOL,
     WAVE,
     _ascend,
+    _check_seed,
     _draws,
     _normalize,
     _start_stack,
@@ -82,9 +83,23 @@ def test_config_validation(p):
         estimate_norm(SuperOperator.identity(2), p, restarts=0)
     with pytest.raises(ValueError, match="restarts"):
         estimate_norm(SuperOperator.identity(2), p, restarts=MAX_RESTARTS + 1)
+    for restarts in (2.5, True, np.float64(2.0), "2"):
+        with pytest.raises(ValueError, match="restarts must be an integer"):
+            estimate_norm(SuperOperator.identity(2), p, restarts=restarts)
     for seed in (-1, 2**128):
         with pytest.raises(ValueError, match="seed"):
             estimate_norm(SuperOperator.identity(2), p, seed=seed)
+    for seed in (1.5, 7.0, True, np.float64(7.0), "7"):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            estimate_norm(SuperOperator.identity(2), p, seed=seed)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            _check_seed(seed)
+    # numpy integers are integers
+    t = SuperOperator(_ginibre(np.random.default_rng(11), 4) / 2)
+    plain = estimate_norm(t, p, restarts=9, seed=7)
+    for restarts, seed in ((np.int64(9), np.uint64(7)), (np.int32(9), np.int8(7))):
+        est = estimate_norm(t, p, restarts=restarts, seed=seed)
+        assert (est.value, est.restarts_used) == (plain.value, plain.restarts_used)
 
 
 # ---------------------------------------------------------------------------

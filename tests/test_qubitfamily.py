@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nclp.cpmap import is_completely_positive
+from nclp.embed import theta_thresholds
 from nclp.qubitfamily import (
     QubitWitness,
     alpha,
@@ -19,7 +20,6 @@ from nclp.qubitfamily import (
     optimal_ab,
     qubit_map,
     qubit_state,
-    theta_thresholds,
 )
 
 
@@ -111,36 +111,50 @@ def test_family_value_rejects_negative_coefficients():
         family_value(0.5, 1.5, 0.5, -0.1, 1.0)
 
 
+P_RANGE = r"p must lie in \[1, inf\), got"
+THETA_RANGE = r"theta must lie in \[0, 1\], got"
+# Each case with the one message it must raise; new cases go at the end so
+# that every case keeps its id.
+REFUSED = [
+    (delta, (0.3, math.inf, 0.2), P_RANGE),
+    (delta, (0.3, math.nan, 0.2), P_RANGE),
+    (delta, (0.3, 1.5, math.nan), THETA_RANGE),
+    (optimal_ab, (1.5, math.inf), "optimal pair requires finite p > 1"),
+    (optimal_ab, (1.5, math.nan), "optimal pair requires finite p > 1"),
+    (optimal_ab, (math.inf, 1.5), "delta must be positive and finite"),
+    (optimal_ab, (math.nan, 1.5), "delta must be positive and finite"),
+    (alpha, (math.inf, 0.2), P_RANGE),
+    (alpha, (math.nan, 0.2), P_RANGE),
+    (alpha, (1.5, math.nan), THETA_RANGE),
+    (alpha, (1.5, 1.5), THETA_RANGE),
+    (alpha1, (math.nan,), THETA_RANGE),
+    (alpha1, (1.5,), THETA_RANGE),
+    (family_value, (0.3, 1.5, 0.2, math.nan, 0.5), "witness coefficients"),
+    (family_value, (0.3, 1.5, 0.2, 0.5, math.nan), "witness coefficients"),
+    (family_value, (0.3, 1.5, 0.2, math.inf, 0.5), "witness coefficients"),
+    (family_value, (0.3, 1.5, 0.2, 0.5, math.inf), "witness coefficients"),
+    (family_witness, (0.3, math.inf, 0.2), P_RANGE),
+    (family_witness, (0.3, math.nan, 0.2), P_RANGE),
+    (family_witness, (0.3, 1.5, math.nan), THETA_RANGE),
+    (family_witness, (0.3, 1.5, -0.1), THETA_RANGE),
+    (family_witness, (0.3, 0.9, 0.2), P_RANGE),
+    (family_witness, (math.nan, 1.5, 0.2), "family parameter must lie in"),
+    (delta, (0.3, -math.inf, 0.2), P_RANGE),
+    (delta, (0.3, 1.5, math.inf), THETA_RANGE),
+    (alpha, (0.5, 0.2), P_RANGE),
+    (alpha, (1.5, -math.inf), THETA_RANGE),
+    (alpha1, (-0.1,), THETA_RANGE),
+    (family_value, (0.3, 0.9, 0.2, 1.0, 0.0), P_RANGE),
+]
+
+
 @pytest.mark.parametrize(
-    "fn, args",
-    [
-        (delta, (0.3, math.inf, 0.2)),
-        (delta, (0.3, math.nan, 0.2)),
-        (delta, (0.3, 1.5, math.nan)),
-        (optimal_ab, (1.5, math.inf)),
-        (optimal_ab, (1.5, math.nan)),
-        (optimal_ab, (math.inf, 1.5)),
-        (optimal_ab, (math.nan, 1.5)),
-        (alpha, (math.inf, 0.2)),
-        (alpha, (math.nan, 0.2)),
-        (alpha, (1.5, math.nan)),
-        (alpha, (1.5, 1.5)),
-        (alpha1, (math.nan,)),
-        (alpha1, (1.5,)),
-        (family_value, (0.3, 1.5, 0.2, math.nan, 0.5)),
-        (family_value, (0.3, 1.5, 0.2, 0.5, math.nan)),
-        (family_value, (0.3, 1.5, 0.2, math.inf, 0.5)),
-        (family_value, (0.3, 1.5, 0.2, 0.5, math.inf)),
-        (family_witness, (0.3, math.inf, 0.2)),
-        (family_witness, (0.3, math.nan, 0.2)),
-        (family_witness, (0.3, 1.5, math.nan)),
-        (family_witness, (0.3, 1.5, -0.1)),
-        (family_witness, (0.3, 0.9, 0.2)),
-        (family_witness, (math.nan, 1.5, 0.2)),
-    ],
+    "fn, args, message",
+    REFUSED,
+    ids=[f"{fn.__name__}-args{i}" for i, (fn, _, _) in enumerate(REFUSED)],
 )
-def test_family_functions_refuse_non_finite_or_out_of_range(fn, args):
-    with pytest.raises(ValueError):
+def test_family_functions_refuse_non_finite_or_out_of_range(fn, args, message):
+    with pytest.raises(ValueError, match=message):
         fn(*args)
 
 
@@ -206,27 +220,6 @@ def test_alpha_rejects_p1_and_alpha1_covers_it():
     assert alpha1(0.0) == 2.0
     assert alpha1(0.5) == 0.0
     assert alpha1(1.0) == -2.0
-
-
-def test_thresholds_table():
-    t1 = theta_thresholds(1.0)
-    assert (t1.theta0, t1.theta1) == (0.5, 0.5)
-    t2 = theta_thresholds(2.0)
-    assert (t2.theta0, t2.theta1) == (0.0, 1.0)
-    t125 = theta_thresholds(1.25)
-    assert t125.theta0 == pytest.approx(0.25, abs=1e-15)
-    assert t125.theta1 == pytest.approx(0.75, abs=1e-15)
-
-
-def test_thresholds_structure():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        p = float(rng.uniform(1.0, 2.0))
-        th = theta_thresholds(p)
-        assert th.theta0 + th.theta1 == pytest.approx(1.0, abs=1e-15)
-        assert th.theta0 <= 0.5 <= th.theta1
-    with pytest.raises(ValueError):
-        theta_thresholds(2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,18 @@ def test_powers_of_an_accepted_state_stay_accepted():
         assert abs(np.trace(power.matrix) - 1.0) <= 1e-15 * 2**k
 
 
+@pytest.mark.parametrize("c, refused_at", [(1e-4, 4), (1e-3, 5)])
+def test_powers_are_refused_once_the_ratio_reaches_faithful_rtol(c, refused_at):
+    # the division fixes the trace but not lambda_min / lambda_max, which
+    # multiplies across the factors: (c / (1 - c))^k falls to 1e-12
+    base = qubit_state(c)
+    power = base
+    for _ in range(2, refused_at):
+        power = kron_state(power, base)
+    with pytest.raises(ValueError, match="state is not faithful"):
+        kron_state(power, base)
+
+
 def test_real_family_stays_float64():
     t = kron_superop(qubit_map(0.3), qubit_map(0.6))
     s = kron_state(qubit_state(0.3), qubit_state(0.6))
