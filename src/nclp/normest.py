@@ -4,13 +4,15 @@ The estimator alternates between the norming element of U(Y) in the dual
 space and the norming element of the back-propagated direction U^+(Z); the
 objective ||U(Y)||_p is non-decreasing along the iteration, so every reported
 value is achieved by its witness and is therefore a sound lower bound.  The
-deterministic starts ascend with the first WAVE Ginibre draws, and each later
-wave of WAVE draws runs only while the one before it raised the best value.
-A wave advances as one (k, n, n) stack at two batched SVDs per iteration, and
-every step is taken matrix by matrix, so a start's result does not depend on
-the batch it runs in.  At p = 2 no ascent runs: S^2 is a Hilbert space, so the
-norm is sigma_max of the action matrix, attained at its top right singular
-vector.
+estimate runs in two phases.  The screen ascends every start to the coarse
+REL_TOL: the deterministic starts with the first WAVE Ginibre draws, and each
+later wave of WAVE draws only while the one before it raised the best value.
+The polish then takes the earliest best start on alone to the fine
+POLISH_TOL, and its iterate is the witness.  A wave advances as one (k, n, n)
+stack at two batched SVDs per iteration, and every step is taken matrix by
+matrix, so a start's result does not depend on the batch it runs in.  At
+p = 2 no ascent runs: S^2 is a Hilbert space, so the norm is sigma_max of the
+action matrix, attained at its top right singular vector.
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ RESTARTS = 32
 MAX_RESTARTS = 1024
 # Ginibre starts per wave; the first wave ascends with the deterministic starts.
 WAVE = 8
-# An ascent stops once one step changes the objective by at most this, relatively.
-REL_TOL = 1e-10
+# A screened start stops once one step changes the objective by at most this,
+# relatively; the same bound decides whether a wave raised the best value.
+REL_TOL = 1e-7
+# The polish of the winning start stops at this relative step instead.
+POLISH_TOL = 1e-13
 # An ascent that has not converged stops after this many steps.
 MAX_ITERS = 500
 _TINY = 1e-300
@@ -42,10 +47,11 @@ _TINY = 1e-300
 class NormEstimate:
     """Witness-certified lower bound: ||witness||_p = 1, ||U(witness)||_p = value.
 
-    ``iterations`` and ``converged`` describe the winning start's ascent and
-    ``restarts_used`` counts the starts that ran: the deterministic ones plus
-    the Ginibre draws of every wave that ran.  At p = 2 the value is the
-    exact norm and no start ascends: they read 0, True and 0.
+    ``iterations`` counts the winning start's steps, screen and polish
+    together, and ``converged`` is whether its polish reached POLISH_TOL.
+    ``restarts_used`` counts the starts that were screened: the deterministic
+    ones plus the Ginibre draws of every wave that ran.  At p = 2 the value
+    is the exact norm and no start ascends: they read 0, True and 0.
     """
 
     value: float
@@ -79,14 +85,14 @@ def _image(action: np.ndarray, ys: np.ndarray, p: float) -> tuple[np.ndarray, ..
     return (s[:, 0], *_norm_and_dual(u, s, vh, p))
 
 
-def _ascend(action: np.ndarray, p: float, ys: np.ndarray) -> _Batch:
+def _ascend(action: np.ndarray, p: float, ys: np.ndarray, tol: float = REL_TOL) -> _Batch:
     """Monotone dual ascent from every unit-norm start of the (k, n, n) stack at once.
 
     Each iteration takes the dual element Z of U(Y), steps to the q-dual
     element of U^+(Z), and keeps the step when ||U(Y)||_p does not drop.
     That costs one batched SVD of U^+(Z) and one of U(Y_next); the latter
     also gives the next dual element.  A start retires when two consecutive
-    objectives differ by at most REL_TOL relative (converged), when U(Y)
+    objectives differ by at most ``tol`` relative (converged), when U(Y)
     or U^+(Z) is numerically zero (not converged), or after MAX_ITERS steps.
     For p = 1 the dual steps use the fixed polar-factor / top-dyad
     subgradients, which keeps the objective non-decreasing but need not
@@ -127,7 +133,7 @@ def _ascend(action: np.ndarray, p: float, ys: np.ndarray) -> _Batch:
         values[take] = value_next[accept]
         duals[take] = dual_next[accept]
         tops[take] = tops_next[accept]
-        done = np.abs(value_next - previous) <= REL_TOL * np.maximum(values[idx], 1e-30)
+        done = np.abs(value_next - previous) <= tol * np.maximum(values[idx], 1e-30)
         converged[idx[done]] = True
         active[idx[done]] = False
     return _Batch(
@@ -213,6 +219,14 @@ def _waves(
     return np.concatenate(ys), _Batch(*joined)
 
 
+def _polish(action: np.ndarray, p: float, run: _Batch) -> tuple[int, _Batch]:
+    """The earliest best start of a screened ``run``, and its ascent continued
+    alone from its screened iterate until one step moves at most POLISH_TOL
+    relative, or for at most MAX_ITERS more steps."""
+    best = int(np.argmax(run.values))
+    return best, _ascend(action, p, run.witnesses[best:best + 1], POLISH_TOL)
+
+
 def estimate_norm(
     u: SuperOperator,
     p: float,
@@ -226,12 +240,14 @@ def estimate_norm(
     Starts are, in order and the same at every n: caller-supplied ``starts``
     (normalized), the n^2 matrix units, then at most ``restarts`` Ginibre
     draws keyed by (``seed``, restart index), with ``restarts`` an integer in
-    [1, MAX_RESTARTS] and ``seed`` one in [0, 2**128).  The deterministic starts
-    ascend in one batch with draws 0..WAVE-1; each later wave ascends the
-    next WAVE draws, and runs only while the wave before it raised the best
-    value by more than REL_TOL relative.  So ``restarts`` is a cap, and
-    ``restarts_used`` counts the starts that ran.  A start's result does not
-    depend on its wave, and the earliest start with the maximum value wins.
+    [1, MAX_RESTARTS] and ``seed`` one in [0, 2**128).  The screen ascends
+    the deterministic starts in one batch with draws 0..WAVE-1, each to
+    REL_TOL; each later wave ascends the next WAVE draws, and runs only while
+    the wave before it raised the best value by more than REL_TOL relative.
+    So ``restarts`` is a cap, and ``restarts_used`` counts the starts that
+    ran.  A start's result does not depend on its wave.  The earliest start
+    with the maximum screened value wins, and the polish ascends it alone to
+    POLISH_TOL; its normalized iterate is the witness.
 
     At p = 2 the value is exact: one SVD of the action matrix gives the
     witness, its top right singular vector.  ``starts`` are still checked,
@@ -250,10 +266,10 @@ def estimate_norm(
         iterations, restarts_used, converged = 0, 0, True
     else:
         ys, run = _waves(u, p, restarts, seed, starts)
-        best = int(np.argmax(run.values))
-        witness = _normalize(run.witnesses[best:best + 1], p)[0]
-        iterations, restarts_used = int(run.iterations[best]), len(ys)
-        converged = bool(run.converged[best])
+        best, polish = _polish(u.action_matrix, p, run)
+        witness = _normalize(polish.witnesses, p)[0]
+        iterations = int(run.iterations[best] + polish.iterations[0])
+        restarts_used, converged = len(ys), bool(polish.converged[0])
     return NormEstimate(
         value=schatten_norm(u(witness), p),
         witness=witness,

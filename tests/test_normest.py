@@ -8,9 +8,8 @@ from nclp.embed import build_embedded
 from nclp.matcore import dual_element, schatten_norm
 from nclp.normest import (
     DEFAULT_SEED,
-    MAX_ITERS,
     MAX_RESTARTS,
-    REL_TOL,
+    POLISH_TOL,
     WAVE,
     _ascend,
     _check_seed,
@@ -20,7 +19,7 @@ from nclp.normest import (
     estimate_norm,
 )
 from nclp.qubitfamily import qubit_map, qubit_state
-from nclp.selfcheck import _ginibre
+from nclp.selfcheck import _ginibre, _random_unitary
 
 RNG = np.random.default_rng(20240814)
 
@@ -122,9 +121,17 @@ def test_start_set_is_the_same_at_every_n(n):
 
 
 def _full_batch(u, p, restarts=32):
-    """The one-batch ascent over every start that a cap of ``restarts`` allows."""
+    """The one-batch screen over every start that a cap of ``restarts`` allows."""
     ys = _start_stack(u.dim, p, restarts, DEFAULT_SEED, ())
     return len(ys) - restarts, _ascend(u.action_matrix, p, ys)
+
+
+def _winner(u, p, run):
+    """The earliest best start of a screened ``run``, its polish alone to
+    POLISH_TOL, and the polished iterate at unit p-norm."""
+    best = int(np.argmax(run.values))
+    polish = _ascend(u.action_matrix, p, run.witnesses[best:best + 1], POLISH_TOL)
+    return best, polish, _normalize(polish.witnesses, p)[0]
 
 
 @pytest.mark.parametrize("restarts", [1, 4, WAVE])
@@ -132,62 +139,80 @@ def test_one_wave_is_one_batch(restarts):
     t = SuperOperator(_ginibre(np.random.default_rng([20240814, 1]), 9) / 3)
     est = estimate_norm(t, 1.5, restarts=restarts)
     fixed, run = _full_batch(t, 1.5, restarts)
-    best = int(np.argmax(run.values))
-    witness = _normalize(run.witnesses[best:best + 1], 1.5)[0]
+    best, polish, witness = _winner(t, 1.5, run)
     assert np.array_equal(est.witness, witness)
     assert est.value == schatten_norm(t(witness), 1.5)
-    assert (est.iterations, est.converged) == (run.iterations[best], run.converged[best])
+    assert est.iterations == run.iterations[best] + polish.iterations[0]
+    assert est.converged == polish.converged[0]
     assert est.restarts_used == fixed + restarts
 
 
+def test_the_polish_continues_the_screened_winner():
+    # the screen stops a start once one step moves at most REL_TOL; the polish
+    # takes the winner on from there until a step moves at most POLISH_TOL
+    t = SuperOperator(_ginibre(np.random.default_rng([20240814, 1]), 9) / 3)
+    fixed, run = _full_batch(t, 1.5, WAVE)
+    best, polish, _ = _winner(t, 1.5, run)
+    assert run.converged[best] and polish.converged[0]
+    assert polish.iterations[0] > 0
+    assert polish.values[0] > run.values[best]
+    assert polish.max_drop[0] <= 1e-12 * polish.values[0]
+
+
 def test_second_wave_runs_after_wave_one_improves():
-    # a non-CP map on M_4 whose best start is Ginibre draw 3: wave 1 beats the
-    # deterministic starts by more than REL_TOL, and wave 2 improves nothing
-    t = SuperOperator(_ginibre(np.random.default_rng([20240814, 327]), 16) / 4)
+    # a non-CP map on M_4 whose best start is Ginibre draw 4: wave 1 beats the
+    # deterministic starts by 5.9e-7 relative, more than REL_TOL, and wave 2
+    # improves nothing
+    t = SuperOperator(_ginibre(np.random.default_rng([20240814, 368]), 16) / 4)
     est = estimate_norm(t, 3.0)
     fixed, run = _full_batch(t, 3.0)
-    best = int(np.argmax(run.values))
+    best, _, witness = _winner(t, 3.0, run)
     assert est.restarts_used == fixed + 2 * WAVE
     assert fixed <= best < fixed + WAVE
-    assert np.array_equal(est.witness, _normalize(run.witnesses[best:best + 1], 3.0)[0])
+    assert np.array_equal(est.witness, witness)
 
 
 def test_a_later_wave_raises_the_value():
-    # near c = 1/2 the Ginibre starts creep to MAX_ITERS; on this member wave 2
-    # raises the best value by 6.9e-6 relative and wave 3 improves nothing, so
-    # one wave alone (restarts = WAVE) stops short by far more than REL_TOL
+    # near c = 1/2 the Ginibre starts creep; on this member wave 2 raises the
+    # best screened value by 2.6e-5 relative, wave 3 by 1.2e-7 and wave 4 by
+    # nothing, so one wave alone (restarts = WAVE) stops short by far more
+    # than 1e-7 even after its polish
     u = build_embedded(qubit_map(0.48), qubit_state(0.48), 1.25, 0.25).u_action
     est = estimate_norm(u, 1.25)
     fixed, run = _full_batch(u, 1.25)
-    best = int(np.argmax(run.values))
-    assert est.restarts_used == fixed + 3 * WAVE
-    assert fixed + WAVE <= best < fixed + 2 * WAVE
-    assert np.array_equal(est.witness, _normalize(run.witnesses[best:best + 1], 1.25)[0])
-    assert estimate_norm(u, 1.25, restarts=WAVE).value < est.value * (1.0 - 1e3 * REL_TOL)
+    best, _, witness = _winner(u, 1.25, run)
+    assert est.restarts_used == fixed + 4 * WAVE
+    assert fixed + 2 * WAVE <= best < fixed + 3 * WAVE
+    assert np.array_equal(est.witness, witness)
+    assert estimate_norm(u, 1.25, restarts=WAVE).value < est.value * (1.0 - 1e-7)
 
 
-def test_waves_can_stop_short_of_a_later_creeping_start():
-    # a known loss (the FOUND line on wave stops in CHANGES.md): on this member
-    # wave 2 raises the best value by only 6e-11 relative, so the waves stop,
-    # but Ginibre draw 20 of wave 3 climbs 2.4e-10 relative higher
+def test_waves_reach_the_full_batch_best_on_a_creeping_member():
+    # on this member the screen runs all four waves, and its best start is
+    # the creeping Ginibre draw 20 of wave 3; 1.0008083287472183 is the best
+    # value of the one 32-start batch with every start ascended to 1e-10,
+    # which the polished winner of the waves must reach
     u = build_embedded(qubit_map(0.55), qubit_state(0.55), 1.25, 0.25).u_action
     est = estimate_norm(u, 1.25)
     fixed, run = _full_batch(u, 1.25)
-    assert est.restarts_used == fixed + 2 * WAVE
     assert int(np.argmax(run.values)) == fixed + 20
-    assert est.value == pytest.approx(1.000808328508783, rel=1e-13)
-    assert run.values.max() == pytest.approx(1.0008083287472183, rel=1e-13)
+    assert est.restarts_used == fixed + 4 * WAVE
+    assert est.value >= 1.0008083287472183
 
 
 def test_waves_stop_where_ginibre_starts_creep():
-    # near c = 1/2 every Ginibre start of this member runs to MAX_ITERS and none
-    # of them wins, so one wave is enough
+    # near c = 1/2 every Ginibre start of this member creeps: the screen
+    # retires each after 2 steps below REL_TOL, none of them wins, and one
+    # wave is enough
     emap = build_embedded(qubit_map(0.51), qubit_state(0.51), 1.5, 0.0)
     est = estimate_norm(emap.u_action, 1.5)
     fixed, run = _full_batch(emap.u_action, 1.5)
-    assert np.all(run.iterations[fixed:] == MAX_ITERS)
+    best, _, witness = _winner(emap.u_action, 1.5, run)
+    assert np.all(run.iterations[fixed:] == 2)
+    assert best < fixed
+    assert np.all(run.values[fixed:] < run.values[best])
     assert est.restarts_used == fixed + WAVE
-    assert est.value == pytest.approx(run.values.max(), rel=1e-10)
+    assert np.array_equal(est.witness, witness)
     # the member is exactly real, and its complex copy ascends with the same bits
     action = emap.u_action.action_matrix
     assert action.dtype == np.float64
@@ -195,6 +220,79 @@ def test_waves_stop_where_ginibre_starts_creep():
     twin = _ascend(action.astype(complex), 1.5, ys)
     assert np.array_equal(twin.values, run.values)
     assert np.array_equal(twin.witnesses, run.witnesses)
+
+
+# ---------------------------------------------------------------------------
+# a direct sum whose blocks need different starts
+
+
+def _direct_sum(t1, t2):
+    """T1 + T2 on M_(n1 + n2): each map acts on its diagonal block, and the
+    off-diagonal blocks go to zero."""
+    n1, n = t1.dim, t1.dim + t2.dim
+
+    def apply(x):
+        out = np.zeros((n, n), dtype=complex)
+        out[:n1, :n1] = t1(x[:n1, :n1])
+        out[n1:, n1:] = t2(x[n1:, n1:])
+        return out
+
+    return SuperOperator.from_map(apply, n)
+
+
+def _blocks(seed):
+    """The transpose map on M_2, whose action has every singular value 1, a
+    Ginibre map on M_2 scaled to sigma_max = 0.9, and a Haar unitary on C^4."""
+    rng = np.random.default_rng([20261019, seed])
+    g = _ginibre(rng, 4)
+    transpose = SuperOperator.from_map(lambda x: x.T, 2)
+    return transpose, SuperOperator(0.9 * g / np.linalg.norm(g, 2)), _random_unitary(rng, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_direct_sum_blocks_are_adversarial(seed):
+    # every top right singular vector of the sum belongs to the transpose
+    # block, yet at some p the Ginibre block has the larger norm
+    transpose, g, _ = _blocks(seed)
+    assert np.allclose(np.linalg.svd(transpose.action_matrix)[1], 1.0)
+    assert np.linalg.norm(g.action_matrix, 2) == pytest.approx(0.9, rel=1e-15)
+    assert max(estimate_norm(g, p).value for p in (1.0, 1.25, 4.0)) > 1.0
+
+
+_HAAR_MISSES = {
+    (1, 3.0): "the polish stops on a step of at most POLISH_TOL while the "
+    "transpose block's value 1 is still 4.2e-12 relative away",
+    (2, 1.0): "at p = 1 no start reaches the Ginibre block: the estimate "
+    "stays 3.3e-3 relative below it",
+    (2, 4.0): "the polish runs MAX_ITERS steps and ends 6.9e-12 relative "
+    "below the Ginibre block",
+}
+
+
+@pytest.mark.parametrize(
+    "frame, seed, p",
+    [
+        pytest.param(
+            frame, seed, p,
+            marks=pytest.mark.xfail(reason=_HAAR_MISSES[seed, p], strict=True)
+            if frame == "haar" and (seed, p) in _HAAR_MISSES else (),
+        )
+        for frame in ("standard", "haar")
+        for seed in (0, 1, 2)
+        for p in (1.0, 1.25, 1.5, 3.0, 4.0)
+    ],
+)
+def test_direct_sum_reaches_each_block(frame, seed, p):
+    # the n^2 matrix units hold starts inside each block; the estimate of the
+    # sum is at least the estimate of either block on its own
+    transpose, g, v = _blocks(seed)
+    u = _direct_sum(transpose, g)
+    if frame == "haar":
+        rotate = np.kron(v.conj(), v)  # vec(V X V^*) = (conj(V) kron V) vec(X)
+        u = SuperOperator(rotate @ u.action_matrix @ rotate.conj().T)
+    est = estimate_norm(u, p).value
+    for block in (transpose, g):
+        assert est >= estimate_norm(block, p).value * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
