@@ -40,6 +40,18 @@ _TS = np.linspace(-0.5 + T_MARGIN, 0.5 - T_MARGIN, GRID_POINTS)
 _GRID_C = 0.5 + _TS
 _GRID_LOG_RATIO = np.log((1.0 - _GRID_C) / _GRID_C)
 _GRID_LOG_CC = np.log(_GRID_C * (1.0 - _GRID_C))
+# The grid argmax screens theta values this many rows at a time, so its
+# temporaries stay _SCREEN_ROWS x GRID_POINTS whatever the number of thetas.
+_SCREEN_ROWS = 16
+# The screen keeps every grid point within _SCREEN_WINDOW of its row's screened
+# maximum, and only those are evaluated exactly.  If |screen - exact| <= E at
+# every point and _SCREEN_WINDOW >= 2E, the exact argmax and every point tied
+# with it survive: screen <= max exact + E everywhere, while the argmax screens
+# at >= max exact - E.  Every term of both forms is bounded over the admissible
+# inputs (|log(c(1-c))|, |log((1-c)/c)| <= 6.91, |slope| <= 1, p < 2, and every
+# exp argument of the screen is <= 0), so E is a few ulps of 30; the largest
+# |screen - exact| measured over p in [1, 2) is 2.6e-15, 4e5 times below this.
+_SCREEN_WINDOW = 1e-9
 
 
 def _check_c(c: float):
@@ -121,10 +133,52 @@ def _log_pow_p(log_ratio, log_cc, p: float, slope):
     )
 
 
+def _screen_log_pow_p(log_ratio, log_cc, p: float, slope):
+    """``_log_pow_p`` in a form with no ``logaddexp``: with a = |log d|,
+    (p/2) log_cc + p a + log1p(e^(-p a)) + (p-1) log1p(e^(-q a)), which is
+    ``_log_pow_p`` itself at p = 1.  It agrees with ``_log_pow_p`` to a few
+    ulps, not bitwise; broadcasts over all three."""
+    if p == 1.0:
+        return _log_pow_p(log_ratio, log_cc, p, slope)
+    a = np.abs(slope * log_ratio)
+    q = p / (p - 1.0)
+    return (
+        (p / 2.0) * log_cc
+        + p * a
+        + np.log1p(np.exp(-p * a))
+        + (p - 1.0) * np.log1p(np.exp(-q * a))
+    )
+
+
+def _grid_argmax(p: float, slope) -> tuple[np.ndarray, np.ndarray]:
+    """First index of each slope's maximum of ``_log_pow_p`` over the grid,
+    and that maximum, bitwise as a full scan with ``np.argmax`` gives them.
+
+    ``_screen_log_pow_p`` screens _SCREEN_ROWS slopes at a time; only the grid
+    points within _SCREEN_WINDOW of their row's screened maximum are
+    evaluated with ``_log_pow_p``, which alone decides the result.
+    """
+    best_i = np.empty(slope.size, dtype=np.intp)
+    best_f = np.empty(slope.size)
+    for start in range(0, slope.size, _SCREEN_ROWS):
+        rows = slice(start, start + _SCREEN_ROWS)
+        s = slope[rows, None]
+        screen = _screen_log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, s)
+        keep = screen >= screen.max(axis=1, keepdims=True) - _SCREEN_WINDOW
+        # On a 2-D mask np.nonzero costs several times np.flatnonzero.
+        k, j = np.divmod(np.flatnonzero(keep), GRID_POINTS)
+        exact = np.full(screen.shape, -np.inf)
+        exact[k, j] = _log_pow_p(_GRID_LOG_RATIO[j], _GRID_LOG_CC[j], p, s[k, 0])
+        best_i[rows] = exact.argmax(axis=1)
+        best_f[rows] = exact[np.arange(exact.shape[0]), best_i[rows]]
+    return best_i, best_f
+
+
 def _log_m_pow_p(c, p: float, slope):
     """``_log_pow_p`` at the family parameter ``c``; broadcasts over ``c``."""
     c = np.asarray(c, dtype=float)
-    return _log_pow_p(np.log((1.0 - c) / c), np.log(c * (1.0 - c)), p, slope)
+    one_minus_c = 1.0 - c
+    return _log_pow_p(np.log(one_minus_c / c), np.log(c * one_minus_c), p, slope)
 
 
 def alpha(p: float, theta: float) -> float:
@@ -173,52 +227,51 @@ def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
     """Maximize ``family_witness(c, p, theta).m_value`` over c, for each theta at one p.
 
     Coarse scan of t = c - 1/2 over ``GRID_POINTS`` values in
-    (-1/2 + margin, 1/2 - margin), one theta at a time, then golden-section
-    refinement around each theta's best grid cell down to ``REFINE_TOL`` in
-    t.  All thetas advance through the refinement as one stack; each one
-    stops at its own width, so its witness is bitwise the one it gets alone.
+    (-1/2 + margin, 1/2 - margin): ``_grid_argmax`` gives each theta's first
+    best grid cell, bitwise as a full scan of ``_log_pow_p`` would.  Then
+    golden-section refinement around that cell down to ``REFINE_TOL`` in t.
+    All thetas advance through the refinement as one stack; each one stops at
+    its own width, so its witness is bitwise the one it gets alone.
     """
     if not (1.0 <= p < 2.0):
         raise ValueError(f"the family certifies norms for p in [1, 2), got {p}")
     for theta in thetas:
         _check_p_theta(p, theta)
     slope = (2.0 * np.array(thetas, dtype=float) - 1.0) / p
-    best_i = np.empty(slope.size, dtype=np.intp)
-    best_f = np.empty(slope.size)
-    for k, s in enumerate(slope):
-        values = _log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, s)
-        best_i[k] = np.argmax(values)
-        best_f[k] = values[best_i[k]]
+    best_i, best_f = _grid_argmax(p, slope)
     lo = _TS[np.maximum(best_i - 1, 0)]
     hi = _TS[np.minimum(best_i + 1, GRID_POINTS - 1)]
 
     # Golden-section maximization on each [lo, hi]; a cell whose bracket is
-    # down to REFINE_TOL keeps its state while the others advance.
+    # down to REFINE_TOL keeps its state while the others advance.  lo and hi
+    # are copies of _TS entries, not views, so the steps update in place.
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
     f1, f2 = _log_m_pow_p(0.5 + x1, p, slope), _log_m_pow_p(0.5 + x2, p, slope)
     live = hi - lo > REFINE_TOL
     while live.any():
-        # A left step keeps [lo, x2] and probes below x1; a right step keeps
-        # [x1, hi] and probes above x2.
+        # A left step keeps [lo, x2], moves x1 to x2 and probes below it; a
+        # right step keeps [x1, hi], moves x2 to x1 and probes above it.
         left = live & (f1 >= f2)
-        right = live & ~left
-        hi = np.where(left, x2, hi)
-        lo = np.where(right, x1, lo)
-        step = _INV_PHI * (hi - lo)
+        right = live ^ left
+        np.copyto(hi, x2, where=left)
+        np.copyto(lo, x1, where=right)
+        np.copyto(x2, x1, where=left)
+        np.copyto(f2, f1, where=left)
+        np.copyto(x1, x2, where=right)
+        np.copyto(f1, f2, where=right)
+        width = hi - lo
+        step = _INV_PHI * width
         probe = np.where(left, hi - step, lo + step)
         f_probe = _log_m_pow_p(0.5 + probe, p, slope)
-        x1, x2 = (
-            np.where(left, probe, np.where(right, x2, x1)),
-            np.where(right, probe, np.where(left, x1, x2)),
-        )
-        f1, f2 = (
-            np.where(left, f_probe, np.where(right, f2, f1)),
-            np.where(right, f_probe, np.where(left, f1, f2)),
-        )
-        live = hi - lo > REFINE_TOL
-    t_best = np.where(f1 >= f2, x1, x2)
-    grid_wins = best_f > np.where(f1 >= f2, f1, f2)
+        np.copyto(x1, probe, where=left)
+        np.copyto(f1, f_probe, where=left)
+        np.copyto(x2, probe, where=right)
+        np.copyto(f2, f_probe, where=right)
+        live = width > REFINE_TOL
+    first = f1 >= f2
+    t_best = np.where(first, x1, x2)
+    grid_wins = best_f > np.where(first, f1, f2)
     t_best = np.where(grid_wins, _TS[best_i], t_best)
     return [family_witness(0.5 + t, p, theta) for t, theta in zip(t_best.tolist(), thetas)]
 

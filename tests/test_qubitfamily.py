@@ -13,7 +13,13 @@ from nclp.qubitfamily import (
     delta,
     family_max,
     family_maxima,
+    _GRID_LOG_CC,
+    _GRID_LOG_RATIO,
+    _SCREEN_WINDOW,
+    _grid_argmax,
     _log_m_pow_p,
+    _log_pow_p,
+    _screen_log_pow_p,
     family_value,
     family_witness,
     find_counterexample,
@@ -268,6 +274,43 @@ def test_family_max_bits_alone_and_stacked():
         thetas = [theta for q, theta in FAMILY_MAX_BITS if q == p]
         got = [_bits(w) for w in family_maxima(p, thetas)]
         assert got == [FAMILY_MAX_BITS[p, theta] for theta in thetas], p
+
+
+def _full_scan(p, slope):
+    """The per-theta grid scan that ``_grid_argmax`` replaced, kept as its oracle."""
+    best_i = np.empty(slope.size, dtype=np.intp)
+    best_f = np.empty(slope.size)
+    for k, s in enumerate(slope):
+        values = _log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, s)
+        best_i[k] = np.argmax(values)
+        best_f[k] = values[best_i[k]]
+    return best_i, best_f
+
+
+def _argmax_cases():
+    """(p, thetas): the benchmark rows, the ends of p and theta, and random cells."""
+    benchmark_thetas = [k * 0.005 for k in range(201)]
+    yield from ((1.0 + k / 100, benchmark_thetas) for k in range(100))
+    yield from ((p, [0.0, 0.5, 1.0]) for p in (1.0, math.nextafter(1.0, 2.0), 1.999999))
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        yield float(rng.uniform(1.0, 2.0)), rng.uniform(0.0, 1.0, 37).tolist()
+
+
+def test_grid_argmax_is_the_full_scan_bitwise():
+    worst = 0.0
+    for p, thetas in _argmax_cases():
+        slope = (2.0 * np.array(thetas) - 1.0) / p
+        got_i, got_f = _grid_argmax(p, slope)
+        want_i, want_f = _full_scan(p, slope)
+        assert np.array_equal(got_i, want_i), p
+        assert got_f.tobytes() == want_f.tobytes(), p
+        exact = _log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, slope[:, None])
+        screen = _screen_log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, slope[:, None])
+        worst = max(worst, float(np.abs(screen - exact).max()))
+    # The screen is exact only while it stays far inside its window; a numpy
+    # whose exp or log1p is much less accurate must fail here, not silently.
+    assert worst < _SCREEN_WINDOW / 1e3, worst
 
 
 def test_counterexample_p1_theta0():
