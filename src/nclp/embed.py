@@ -98,22 +98,22 @@ def exact_norm_p2(emap: EmbeddedMap) -> float:
     return max(float(np.linalg.svd(b, compute_uv=False)[:, 0].max()) for b in blocks)
 
 
-def upper_bound(
-    rep: CompatibilityReport, p: float, theta: float
-) -> tuple[float, Source] | None:
-    """Upper bound C_inf^(1 - 1/p) * C_1^(1/p) and the result justifying it.
+def upper_bound(rep: CompatibilityReport, p: float, source: Source) -> float | None:
+    """Upper bound C_inf^(1 - 1/p) * C_1^(1/p), where ``source`` is the
+    :func:`classify_region` result of the pair (p, theta); the caller already
+    holds it, so the pair is classified once.
 
     Both results are applied only to maps certified completely positive (the
     Choi test certifies nothing weaker, and CP implies the 2-positivity that
     Thm 4.1 asks for): Thm 4.1 covers p >= 2 at any theta, the
     Haagerup-Junge-Xu bound covers theta = 1/2 at any p.  These are the two
-    sources :func:`classify_region` assigns them.  Returns None when neither
-    applies.
+    sources :func:`classify_region` assigns them.  Returns None when
+    ``source`` is neither, or the map is not certified CP.
     """
-    source = classify_region(p, theta)
+    _check_p_theta(p, 0.5)  # only p: theta enters through ``source``
     if not rep.completely_positive or source not in (Source.THM41, Source.HJX_HALF):
         return None
-    return rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p), source
+    return rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p)
 
 
 @dataclass(frozen=True)

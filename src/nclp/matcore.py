@@ -115,18 +115,26 @@ def dual_element(x, p: float) -> np.ndarray:
     return _norm_and_dual(u, s, vh, p)[1]
 
 
-def _norms(s, p: float) -> np.ndarray:
+def _ratios(s) -> np.ndarray:
+    """Singular values over each matrix's sigma_max, 0 for a zero matrix; the
+    scaling keeps sigma^p from overflowing for large p."""
+    top = s[..., 0]
+    return s / np.where(top == 0.0, 1.0, top)[..., None]
+
+
+def _norms(s, p: float, ratio=None) -> np.ndarray:
     """Schatten p-norms of a stack, read from its singular values.
 
     ``s`` holds the descending singular values of each matrix, shape (..., n);
     the norms have shape (...), and a matrix's norm does not depend on the
-    rest of the stack.  A zero matrix gets norm 0.
+    rest of the stack.  A zero matrix gets norm 0.  ``ratio`` is
+    :func:`_ratios` of ``s`` when the caller has it already.
     """
     top = s[..., 0]
     if math.isinf(p):
         return top
-    # Scale by sigma_max so sigma^p cannot overflow for large p.
-    ratio = s / np.where(top == 0.0, 1.0, top)[..., None]
+    if ratio is None:
+        ratio = _ratios(s)
     return top * np.sum(ratio**p, axis=-1) ** (1.0 / p)
 
 
@@ -140,16 +148,16 @@ def _norm_and_dual(u, s, vh, p: float) -> tuple[np.ndarray, np.ndarray]:
     dual element for p < inf.
     """
     top = s[..., 0]
-    norms = _norms(s, p)
     if math.isinf(p):
         weights = np.zeros_like(s)
         weights[..., 0] = 1.0
-        return norms, (u * weights[..., None, :]) @ vh
+        return top, (u * weights[..., None, :]) @ vh
+    ratio = _ratios(s)
+    norms = _norms(s, p, ratio)
     if p == 1.0:
         weights = (s > SUPPORT_RTOL * top[..., None]).astype(float)
     else:
         # (sigma/sigma_max)^(p-1) * (sigma_max/||x||_p)^(p-1): both ratios <= 1.
-        ratio = s / np.where(top == 0.0, 1.0, top)[..., None]
         scale = (top / np.where(norms == 0.0, 1.0, norms)) ** (p - 1.0)
         weights = ratio ** (p - 1.0) * scale[..., None]
     return norms, (u * weights[..., None, :]) @ vh

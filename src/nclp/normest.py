@@ -113,29 +113,34 @@ def _ascend(action: np.ndarray, p: float, ys: np.ndarray, tol: float = REL_TOL) 
     active = np.ones(k, dtype=bool)
     for _ in range(MAX_ITERS):
         active &= tops >= _TINY
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        rows = np.flatnonzero(active)
+        if rows.size == 0:
             break
+        # a whole-array slice while every start is live, gathers otherwise
+        idx = slice(None) if rows.size == k else rows
         w_tops, _, y_next = _image(adjoint, duals[idx], q)
         live = w_tops >= _TINY
-        active[idx[~live]] = False
-        idx, y_next = idx[live], y_next[live]
-        if idx.size == 0:
-            break
+        if not live.all():
+            active[rows[~live]] = False
+            idx = rows = rows[live]
+            y_next = y_next[live]
+            if rows.size == 0:
+                break
         tops_next, value_next, dual_next = _image(action, y_next, p)
         iterations[idx] += 1
-        previous = last[idx]
+        # a copy: with a slice ``idx`` this is a view, which the next line overwrites
+        previous = last[idx].copy()
         last[idx] = value_next
         max_drop[idx] = np.maximum(max_drop[idx], previous - value_next)
         accept = value_next >= values[idx]
-        take = idx[accept]
-        ys[take] = y_next[accept]
-        values[take] = value_next[accept]
-        duals[take] = dual_next[accept]
-        tops[take] = tops_next[accept]
+        take, kept = (idx, slice(None)) if accept.all() else (rows[accept], accept)
+        ys[take] = y_next[kept]
+        values[take] = value_next[kept]
+        duals[take] = dual_next[kept]
+        tops[take] = tops_next[kept]
         done = np.abs(value_next - previous) <= tol * np.maximum(values[idx], 1e-30)
-        converged[idx[done]] = True
-        active[idx[done]] = False
+        converged[idx] |= done
+        active[idx] &= ~done
     return _Batch(
         values=values,
         witnesses=ys,

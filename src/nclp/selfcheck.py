@@ -367,13 +367,13 @@ def check_soundness_vs_upper_bound(seed: int) -> CheckResult:
             state = _random_state(rng, n)
             rep = compatibility(t, state)
             for p, theta in ((2.0, 0.0), (2.0, 0.7), (3.0, 1.0), (1.3, 0.5), (1.7, 0.5)):
-                bound = upper_bound(rep, p, theta)
+                bound = upper_bound(rep, p, classify_region(p, theta))
                 if bound is None:
                     detail = f"no bound at p={p}, theta={theta}"
                     return CheckResult("normest.soundness_vs_upper_bound", False, detail)
                 emap = build_embedded(t, state, p, theta)
                 est = estimate_norm(emap.u_action, p, restarts=4, seed=seed).value
-                worst = max(worst, est - bound[0])
+                worst = max(worst, est - bound)
     return CheckResult("normest.soundness_vs_upper_bound", worst <= 1e-8, f"max excess {worst:.2e}")
 
 

@@ -12,7 +12,13 @@ import pytest
 
 from nclp import cli
 from nclp.cpmap import SuperOperator, compatibility
-from nclp.embed import build_embedded, exact_norm_p2, theta_thresholds, upper_bound
+from nclp.embed import (
+    build_embedded,
+    classify_region,
+    exact_norm_p2,
+    theta_thresholds,
+    upper_bound,
+)
 from nclp.normest import estimate_norm
 from nclp.qubitfamily import (
     alpha,
@@ -128,13 +134,13 @@ def test_criterion_4_upper_bound_soundness():
             combos = [(p, th) for p in (2.0, 2.5, 3.0, 5.0) for th in (0.0, 0.3, 0.7, 1.0)]
             combos += [(1.0, 0.5), (1.3, 0.5), (1.7, 0.5)]
             for p, theta in combos:
-                bound = upper_bound(rep, p, theta)
+                bound = upper_bound(rep, p, classify_region(p, theta))
                 if bound is None:
                     missing.append((n, p, theta))
                     continue
                 emap = build_embedded(t, state, p, theta)
                 est = estimate_norm(emap.u_action, p, restarts=2, seed=SEED).value
-                worst = max(worst, est - bound[0])
+                worst = max(worst, est - bound)
                 cases += 1
     _report(
         4,

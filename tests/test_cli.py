@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +53,9 @@ def test_matrix_round_trip():
 def test_decode_matrix_accepts_plain_numbers():
     m = cli.decode_matrix([[1, 2], [3, 4]])
     assert np.abs(m - np.array([[1, 2], [3, 4]])).max() == 0.0
+    # ints beyond 2**53 round to nearest, ties to even
+    m = cli.decode_matrix([[2**53 + 3, 2**64 + 2049]])
+    assert m.real.tolist() == [[2.0**53 + 4, 2.0**64 + 4096]]
 
 
 @pytest.mark.parametrize(
@@ -340,44 +348,143 @@ def test_norm_rejects_state_dim_mismatch(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# decoder fuzzing: every input decodes or raises one of the two exceptions
-# that main turns into exit 2
+# decoder oracle and fuzzing: every input decodes to the oracle's bits or
+# raises the oracle's exception, which main turns into exit 2
+
+
+def _oracle_entry(e) -> complex:
+    if isinstance(e, (int, float)) and not isinstance(e, bool):
+        parts = (e,)
+    elif (
+        isinstance(e, list)
+        and len(e) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in e)
+    ):
+        parts = e
+    else:
+        raise ValueError(f"matrix entry must be a number or [re, im], got {e!r}")
+    try:
+        return complex(*parts)
+    except OverflowError as exc:
+        raise ValueError("matrix entry is beyond the float range") from exc
+
+
+def oracle_decode_matrix(obj) -> np.ndarray:
+    """The decoder as it was before homogeneous matrices took one conversion:
+    one entry at a time, each through complex()."""
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
+        raise ValueError("matrix must be a non-empty list of rows")
+    width = len(obj[0])
+    if width == 0 or any(len(r) != width for r in obj):
+        raise ValueError("matrix rows must be non-empty and equally long")
+    return np.array([[_oracle_entry(e) for e in row] for row in obj], dtype=complex)
+
+
+def _outcome(decode, obj):
+    """("ok", dtype, shape, bytes) of the decoded array, or the exception's
+    type and message; a decoded map or state is read as its matrix."""
+    try:
+        got = decode(obj)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        return ("raised", type(exc), str(exc))
+    arr = getattr(got, "action_matrix", getattr(got, "matrix", got))
+    return ("ok", arr.dtype, arr.shape, arr.tobytes())
+
+
+def assert_decodes_as_oracle(decode, obj):
+    """``decode`` (one of cli's decoders) gives the bits or the exception that
+    it gives with decode_matrix replaced by the oracle."""
+    got = _outcome(decode, obj)
+    with mock.patch.object(cli, "decode_matrix", oracle_decode_matrix):
+        want = _outcome(decode, obj)
+    assert got == want
+
+
+_REFUSED = {
+    "true among numbers": [[1.0, True], [0.0, 1.0]],
+    "true inside a pair": [[[1.0, 0.0], [True, 0.0]]],
+    "string number": [["1.5", 2.0]],
+    "null": [[None, 1.0]],
+    "ragged rows": [[1.0, 2.0], [3.0]],
+    "no rows": [],
+    "empty row": [[]],
+    "one-part entry": [[[1.0], [2.0, 0.0]]],
+    "three-part entry": [[[1.0, 0.0, 2.0]]],
+    "int beyond float range": [[1.0, 10**400]],
+    "int beyond float range in a pair": [[[0.0, -(10**400)], [1.0, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("obj", list(_REFUSED.values()), ids=list(_REFUSED))
+def test_decode_matrix_refuses_as_the_oracle(obj):
+    with pytest.raises(ValueError):
+        oracle_decode_matrix(obj)
+    assert_decodes_as_oracle(cli.decode_matrix, obj)
+
+
+# ints beyond 2**53 that round, on either side of the int64 range
+_ROUNDED = [2**53 + 3, 2**64 + 2049, -(2**63 + 2049)]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [[v] for v in _ROUNDED],
+        [[[v, -v]] for v in _ROUNDED],
+        [[-0.0, 0.0], [0.0, -0.0]],
+        [[[-0.0, 0.0], [0.0, -0.0]], [[-0.0, -0.0], [0.0, 0.0]]],
+        [[1.5, [2.0, -0.0]], [[-0.0, 1.0], -3]],  # mixed: the per-entry walk
+    ],
+    ids=["rounded ints", "rounded int pairs", "signed zeros", "signed zero pairs", "mixed"],
+)
+def test_decode_matrix_is_exact(obj):
+    got = cli.decode_matrix(obj)
+    assert got.dtype == complex and got.tobytes() == oracle_decode_matrix(obj).tobytes()
+
 
 _HUGE = st.integers(min_value=2**1024, max_value=2**1100)
-_SCALARS = st.one_of(
+_NUMBERS = st.one_of(
     st.integers(-3, 3),
-    st.floats(),  # NaN and the infinities included
+    st.integers(2**53 + 1, 2**70),
+    st.floats(),  # NaN, the infinities and signed zeros included
+)
+_SCALARS = st.one_of(
+    _NUMBERS,
     st.booleans(),
     _HUGE,
     _HUGE.map(lambda v: -v),
     st.none(),
     st.text(max_size=2),
 )
-_ENTRIES = _SCALARS | st.lists(_SCALARS, min_size=2, max_size=2)
+_ENTRIES = _SCALARS | st.lists(_SCALARS, min_size=1, max_size=3)
 _JSON = st.recursive(
     _SCALARS,
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.sampled_from(["dim", "kind", "data"]), inner, max_size=3),
     max_leaves=8,
 )
-_SQUARE = st.sampled_from([1, 2]).flatmap(
-    lambda n: st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _squares(entries):
+    return st.sampled_from([1, 2]).flatmap(
+        lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+    )
+
+
+# any entries, or the homogeneous number and pair matrices of the fast path
+_SQUARE = (
+    _squares(_ENTRIES)
+    | _squares(_NUMBERS)
+    | _squares(st.lists(_NUMBERS, min_size=2, max_size=2))
 )
 _DIMS = st.one_of(st.integers(-1, 3), st.booleans(), _HUGE, st.floats(), st.none())
 _FUZZ = settings(max_examples=200, derandomize=True, database=None, deadline=None)
 
 
-def decodes_or_refuses(decode, obj):
-    try:
-        decode(obj)
-    except (ValueError, np.linalg.LinAlgError):
-        pass
-
-
 @_FUZZ
 @given(_SQUARE | _JSON)
 def test_decode_matrix_fuzz(obj):
-    decodes_or_refuses(cli.decode_matrix, obj)
+    assert_decodes_as_oracle(cli.decode_matrix, obj)
 
 
 @_FUZZ
@@ -388,7 +495,7 @@ def test_decode_matrix_fuzz(obj):
     | _JSON
 )
 def test_decode_superop_fuzz(obj):
-    decodes_or_refuses(cli.decode_superop, obj)
+    assert_decodes_as_oracle(cli.decode_superop, obj)
 
 
 @_FUZZ
@@ -398,7 +505,7 @@ def test_decode_superop_fuzz(obj):
     | _JSON
 )
 def test_decode_state_fuzz(obj):
-    decodes_or_refuses(cli.decode_state, obj)
+    assert_decodes_as_oracle(cli.decode_state, obj)
 
 
 # ---------------------------------------------------------------------------
@@ -504,3 +611,51 @@ def test_verify_checks_are_deterministic():
         selfcheck.check_family_consistency,
     ):
         assert check(123) == check(123)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_reused_parser_writes_the_bytes_of_fresh_processes(tmp_path):
+    map_path = write_json(tmp_path / "map.json", QUBIT_MAP_06)
+    state_path = write_json(tmp_path / "state.json", QUBIT_STATE_06)
+    norm = ["norm", "--map", map_path, "--state", state_path, "--p", "1.5", "--theta", "0.25"]
+    commands = [
+        ["phase-diagram", "--p-min", "1", "--p-max", "1.5", "--p-step", "0.25",
+         "--theta-step", "0.25", "--with-family"],
+        norm + ["--restarts", "4", "--seed", "5"],
+        ["counterexample", "--p", "1.5", "--theta", "0.05"],
+        norm,  # the defaults again, not the previous call's options
+    ]
+    parser = cli._parser()
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for i, command in enumerate(commands):
+        reused, fresh = tmp_path / f"reused-{i}", tmp_path / f"fresh-{i}"
+        assert cli.main(command + ["--out", str(reused)]) == 0
+        subprocess.run(
+            [sys.executable, "-m", "nclp", *command, "--out", str(fresh)], env=env, check=True
+        )
+        assert reused.read_bytes() == fresh.read_bytes(), command
+    assert cli._parser() is parser
+
+
+def test_a_handler_patched_after_a_call_is_the_one_that_runs(tmp_path, monkeypatch):
+    assert run_norm(tmp_path, QUBIT_MAP_06, QUBIT_STATE_06, ["--p", "2", "--theta", "0"])[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_norm", lambda args: seen.append(args.p) or 7)
+    assert run_norm(tmp_path, QUBIT_MAP_06, QUBIT_STATE_06, ["--p", "3", "--theta", "0"])[0] == 7
+    assert seen == [3.0]
+
+
+def test_an_argparse_error_leaves_the_next_call_intact(tmp_path, capsys):
+    extra = ["--p", "1.5", "--theta", "0.5"]
+    code, before = run_norm(tmp_path, QUBIT_MAP_06, QUBIT_STATE_06, extra)
+    assert code == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["norm", "--map", "m.json", "--state", "s.json", "--restarts", "3",
+                  "--p", "1.5", "--theta", "half"])
+    assert exc.value.code == 2
+    assert "invalid float value" in capsys.readouterr().err
+    code, after = run_norm(tmp_path, QUBIT_MAP_06, QUBIT_STATE_06, extra)
+    assert code == 0 and after == before

@@ -123,17 +123,19 @@ def test_exact_norm_p2_requires_p2():
 # upper_bound
 
 
+def bound_at(rep, p, theta):
+    return upper_bound(rep, p, classify_region(p, theta))
+
+
 def test_upper_bound_for_state_preserving_unital_cp():
     rep = compatibility(qubit_map(0.3), qubit_state(0.3))
     for p in (1.0, 1.5, 2.0, 4.0):
-        value, _ = upper_bound(rep, p, 0.5)
-        assert value == pytest.approx(1.0, abs=1e-10)
+        assert bound_at(rep, p, 0.5) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_upper_bound_scaled_identity():
     rep = compatibility(SuperOperator(2.0 * np.eye(4)), _random_state(RNG, 2))
-    value, _ = upper_bound(rep, 2.0, 0.3)
-    assert value == pytest.approx(2.0, abs=1e-10)
+    assert bound_at(rep, 2.0, 0.3) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_upper_bound_interpolates_constants():
@@ -145,35 +147,40 @@ def test_upper_bound_interpolates_constants():
     rep = compatibility(t, state)
     assert rep.c_inf == pytest.approx(1.0, abs=1e-10)
     assert rep.c1 == pytest.approx(4.0, abs=1e-10)
-    value, _ = upper_bound(rep, 2.0, 0.0)
-    assert value == pytest.approx(2.0, abs=1e-9)
+    assert bound_at(rep, 2.0, 0.0) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_upper_bound_source():
+    # only the two theorems with an explicit constant give a bound
     rep = compatibility(qubit_map(0.3), qubit_state(0.3))
+    for source in Source:
+        bound = upper_bound(rep, 1.5, source)
+        assert (bound is not None) == (source in (Source.THM41, Source.HJX_HALF)), source
     for p, theta in ((2.0, 0.0), (3.0, 1.0), (2.0, 0.5), (4.0, 0.5)):
-        assert upper_bound(rep, p, theta)[1] is Source.THM41
+        assert classify_region(p, theta) is Source.THM41
+        assert bound_at(rep, p, theta) is not None
     for p in (1.0, 1.5, 1.99):
-        assert upper_bound(rep, p, 0.5)[1] is Source.HJX_HALF
+        assert classify_region(p, 0.5) is Source.HJX_HALF
+        assert bound_at(rep, p, 0.5) is not None
 
 
 def test_upper_bound_none_without_theorem():
     # p < 2 off theta = 1/2 has no explicit constant, even where bounded
     rep = compatibility(qubit_map(0.3), qubit_state(0.3))
     for p, theta in ((1.0, 0.0), (1.5, 0.4), (1.5, 0.6), (1.99, 1.0)):
-        assert upper_bound(rep, p, theta) is None
+        assert bound_at(rep, p, theta) is None
     # a map that is not CP gets no bound at any (p, theta)
     transpose = SuperOperator.from_map(lambda e: e.T.copy(), 2)
     rep = compatibility(transpose, qubit_state(0.3))
     for p, theta in ((2.0, 0.0), (3.0, 0.5), (1.5, 0.5), (1.0, 0.0)):
-        assert upper_bound(rep, p, theta) is None
+        assert bound_at(rep, p, theta) is None
 
 
 def test_upper_bound_rejects_bad_p():
     rep = compatibility(qubit_map(0.3), qubit_state(0.3))
     for p in (0.5, math.inf):
         with pytest.raises(ValueError):
-            upper_bound(rep, p, 0.5)
+            upper_bound(rep, p, Source.HJX_HALF)
 
 
 # ---------------------------------------------------------------------------

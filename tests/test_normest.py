@@ -295,6 +295,55 @@ def test_direct_sum_reaches_each_block(frame, seed, p):
         assert est >= estimate_norm(block, p).value * (1.0 - 1e-12)
 
 
+def _masked_ascent_stack(p, c):
+    """A map on M_3 and a stack of starts that drive every mask path of _ascend.
+
+    The map is c times the identity on the lower right 2x2 block and a seeded
+    Ginibre action on the other five matrix units, with E_01 in its kernel.
+    Start 0 is E_01, whose image is zero.  Start 1 is (E_11 + E_22)/2^(1/p):
+    its image has sigma_max c 2^(-1/p) and U^+(Z) has c 2^(-1/q), which lie
+    on either side of the ascent's zero threshold, so it retires at step 1.
+    The other starts are seeded Ginibre draws.
+    """
+    rng = np.random.default_rng([20261019, 21])
+    n = 3
+    units = _matrix_units(n)
+    # vec index i + n*j is E_ij; the outer units have i = 0 or j = 0
+    outer = [v for v in range(n * n) if v % n == 0 or v // n == 0]
+    action = np.zeros((n * n, n * n), dtype=complex)
+    action[np.ix_(outer, outer)] = _ginibre(rng, len(outer))
+    action[:, n] = 0.0  # vec index n is E_01
+    inner = [i for i in range(n * n) if i not in outer]
+    action[inner, inner] = c
+    tiny = (units[4] + units[8]) / 2.0 ** (1.0 / p)
+    draws = [y / schatten_norm(y, p) for y in (_ginibre(rng, n) for _ in range(6))]
+    return action, np.stack([units[n], tiny, *draws])
+
+
+def test_ascent_mask_paths_match_each_start_alone():
+    # the batched ascent runs whole-array slices until a start retires or a
+    # step is rejected; every start of every sub-stack must still come out
+    # bitwise as it does alone, where no mask is ever needed
+    p, c = 3.0, 1.4e-300
+    q = p / (p - 1.0)
+    assert c * 2.0 ** (-1.0 / q) < 1e-300 <= c * 2.0 ** (-1.0 / p)
+    action, ys = _masked_ascent_stack(p, c)
+    # tol = 0: a start retires only on an exact repeat, after rounding noise
+    # has rejected some of its steps
+    alone = [_ascend(action, p, ys[i:i + 1], 0.0) for i in range(len(ys))]
+    iterations = [int(r.iterations[0]) for r in alone]
+    assert iterations[:2] == [0, 0]  # zero image; U^+(Z) under the threshold
+    assert alone[0].values[0] == 0.0 and alone[1].values[0] > 0.0
+    assert len(set(iterations[2:])) > 2, iterations  # retire at different steps
+    assert 0 < sum(r.max_drop[0] > 0.0 for r in alone[2:]) < 6  # some steps rejected
+    for first in (0, 1, 2):
+        run = _ascend(action, p, ys[first:], 0.0)
+        for i, single in enumerate(alone[first:]):
+            for name in ("values", "witnesses", "iterations", "converged", "max_drop"):
+                got, want = getattr(run, name)[i], getattr(single, name)[0]
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (first, i, name)
+
+
 # ---------------------------------------------------------------------------
 # dual_element as the gradient of the Schatten norm
 
