@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from .cpmap import State, SuperOperator, compatibility
-from .embed import build_embedded, classify_region, upper_bound
+from .embed import Source, build_embedded, classify_region, upper_bound
 from .normest import DEFAULT_SEED, RESTARTS, _check_seed, estimate_norm
 from .qubitfamily import family_maxima, find_counterexample
 from .tensor import steps_to_exceed
@@ -171,6 +171,10 @@ def _grid(start: float, stop: float, step: float, count: float) -> list[float]:
     return [min(start + k * step, stop) for k in range(int(count))]
 
 
+# The status and source columns of a cell, written once per classification.
+_SOURCE_COLS = {source: f"{source.status.value},{source.value}" for source in Source}
+
+
 def render_phase_diagram_csv(
     p_min: float,
     p_max: float,
@@ -203,8 +207,8 @@ def render_phase_diagram_csv(
             fams = no_family
         p_col = _fmt(p)
         for theta, theta_col, fam in zip(thetas, theta_cols, fams):
-            source = classify_region(p, theta)
-            lines.append(f"{p_col},{theta_col},{source.status.value},{source.value},{fam}")
+            source_cols = _SOURCE_COLS[classify_region(p, theta)]
+            lines.append(f"{p_col},{theta_col},{source_cols},{fam}")
     return "\n".join(lines) + "\n"
 
 

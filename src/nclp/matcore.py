@@ -61,7 +61,8 @@ def _diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
     linked = m != 0
     if linked.all():  # the common dense case needs no labelling
         return [m[None]]
-    i, j = np.nonzero(linked | linked.T)
+    # On a 2-D mask np.nonzero costs several times np.flatnonzero.
+    i, j = np.divmod(np.flatnonzero(linked | linked.T), m.shape[0])
     label = np.arange(m.shape[0])
     while True:
         hooked = label.copy()

@@ -40,8 +40,15 @@ _TS = np.linspace(-0.5 + T_MARGIN, 0.5 - T_MARGIN, GRID_POINTS)
 _GRID_C = 0.5 + _TS
 _GRID_LOG_RATIO = np.log((1.0 - _GRID_C) / _GRID_C)
 _GRID_LOG_CC = np.log(_GRID_C * (1.0 - _GRID_C))
-# The grid argmax screens theta values this many rows at a time, so its
-# temporaries stay _SCREEN_ROWS x GRID_POINTS whatever the number of thetas.
+# The screen folds the grid onto its first half, c < 1/2: half index h also
+# stands for its mirror GRID_POINTS - 1 - h, which is c <-> 1 - c up to the
+# grid's rounding.
+_HALF_POINTS = (GRID_POINTS + 1) // 2
+_HALF_ABS_LOG_RATIO = np.abs(_GRID_LOG_RATIO[:_HALF_POINTS])
+_HALF_LOG_CC = _GRID_LOG_CC[:_HALF_POINTS]
+# The grid argmax screens |slope| values this many rows at a time, so its
+# temporaries stay at most 2 _SCREEN_ROWS x GRID_POINTS whatever the number of
+# thetas.
 _SCREEN_ROWS = 16
 # The screen keeps every grid point within _SCREEN_WINDOW of its row's screened
 # maximum, and only those are evaluated exactly.  If |screen - exact| <= E at
@@ -49,8 +56,9 @@ _SCREEN_ROWS = 16
 # with it survive: screen <= max exact + E everywhere, while the argmax screens
 # at >= max exact - E.  Every term of both forms is bounded over the admissible
 # inputs (|log(c(1-c))|, |log((1-c)/c)| <= 6.91, |slope| <= 1, p < 2, and every
-# exp argument of the screen is <= 0), so E is a few ulps of 30; the largest
-# |screen - exact| measured over p in [1, 2) is 2.6e-15, 4e5 times below this.
+# exp argument of the screen for p > 1 is <= 0), so E is a few ulps of 30 plus
+# the grid's mirror rounding; the largest |folded screen - mirror envelope|
+# measured over the 100 benchmark rows is 2.75e-14, 3e4 times below this.
 _SCREEN_WINDOW = 1e-9
 
 
@@ -112,7 +120,11 @@ def family_value(c: float, p: float, theta: float, a: float, b: float) -> float:
     """
     if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
         raise ValueError(f"witness coefficients must be finite and >= 0, got ({a}, {b})")
-    d = delta(c, p, theta)
+    return _family_value(c, p, delta(c, p, theta), a, b)
+
+
+def _family_value(c: float, p: float, d: float, a: float, b: float) -> float:
+    """``family_value`` from d = delta(c, p, theta), with no checks."""
     base = (c * (1.0 - c)) ** (p / 2.0) * ((a + b / d) ** p + (a * d + b) ** p)
     return float(base ** (1.0 / p))
 
@@ -133,14 +145,19 @@ def _log_pow_p(log_ratio, log_cc, p: float, slope):
     )
 
 
-def _screen_log_pow_p(log_ratio, log_cc, p: float, slope):
-    """``_log_pow_p`` in a form with no ``logaddexp``: with a = |log d|,
-    (p/2) log_cc + p a + log1p(e^(-p a)) + (p-1) log1p(e^(-q a)), which is
-    ``_log_pow_p`` itself at p = 1.  It agrees with ``_log_pow_p`` to a few
-    ulps, not bitwise; broadcasts over all three."""
+def _screen_log_pow_p(a, log_cc, p: float):
+    """The larger of ``_log_pow_p`` at log d = a and at log d = -a, from
+    a = |log d| >= 0 and log(c(1-c)), in a form with no ``logaddexp``;
+    broadcasts over both.
+
+    For p > 1 ``_log_pow_p`` is even in log d (both of its log terms move by
+    p log d, in opposite directions), and the form is (p/2) log_cc + p a +
+    log1p(e^(-p a)) + (p-1) log1p(e^(-q a)), which agrees with it to a few
+    ulps, not bitwise.  At p = 1 the form is ``_log_pow_p`` itself at
+    log d = a, since log1p(e^(log d)) rises with log d.
+    """
     if p == 1.0:
-        return _log_pow_p(log_ratio, log_cc, p, slope)
-    a = np.abs(slope * log_ratio)
+        return _log_pow_p(a, log_cc, p, 1.0)
     q = p / (p - 1.0)
     return (
         (p / 2.0) * log_cc
@@ -154,24 +171,39 @@ def _grid_argmax(p: float, slope) -> tuple[np.ndarray, np.ndarray]:
     """First index of each slope's maximum of ``_log_pow_p`` over the grid,
     and that maximum, bitwise as a full scan with ``np.argmax`` gives them.
 
-    ``_screen_log_pow_p`` screens _SCREEN_ROWS slopes at a time; only the grid
-    points within _SCREEN_WINDOW of their row's screened maximum are
-    evaluated with ``_log_pow_p``, which alone decides the result.
+    log d = slope log((1-c)/c) changes sign under c <-> 1 - c and under
+    theta <-> 1 - theta, which negates the slope.  So one row of
+    ``_screen_log_pow_p`` at |slope| |log((1-c)/c)| over the half grid serves
+    every slope of one |slope|, and its value at half index h is, up to a few
+    ulps and the grid's mirror rounding, the larger exact value of the pair
+    h, GRID_POINTS - 1 - h: the value of both for p > 1, the upper envelope
+    at p = 1.  The row maximum is the largest pair value, so the pair holding
+    the exact argmax, and every pair tied with it, screens within 2E of the
+    screened maximum and is kept (see _SCREEN_WINDOW).  Each kept half index
+    and its mirror are evaluated with ``_log_pow_p`` for every distinct signed
+    slope of the _SCREEN_ROWS |slope| values screened at a time, at most two
+    per |slope| however often a slope repeats; that alone decides the result.
     """
-    best_i = np.empty(slope.size, dtype=np.intp)
-    best_f = np.empty(slope.size)
-    for start in range(0, slope.size, _SCREEN_ROWS):
-        rows = slice(start, start + _SCREEN_ROWS)
-        s = slope[rows, None]
-        screen = _screen_log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, s)
+    distinct, row_of = np.unique(slope, return_inverse=True)
+    mags, mag_of = np.unique(np.abs(distinct), return_inverse=True)
+    by_mag = np.argsort(mag_of, kind="stable")
+    best_i = np.empty(distinct.size, dtype=np.intp)
+    best_f = np.empty(distinct.size)
+    for start in range(0, mags.size, _SCREEN_ROWS):
+        a = mags[start : start + _SCREEN_ROWS, None] * _HALF_ABS_LOG_RATIO
+        screen = _screen_log_pow_p(a, _HALF_LOG_CC, p)
         keep = screen >= screen.max(axis=1, keepdims=True) - _SCREEN_WINDOW
+        lo, hi = np.searchsorted(mag_of, [start, start + _SCREEN_ROWS], sorter=by_mag)
+        rows = by_mag[lo:hi]
         # On a 2-D mask np.nonzero costs several times np.flatnonzero.
-        k, j = np.divmod(np.flatnonzero(keep), GRID_POINTS)
-        exact = np.full(screen.shape, -np.inf)
-        exact[k, j] = _log_pow_p(_GRID_LOG_RATIO[j], _GRID_LOG_CC[j], p, s[k, 0])
-        best_i[rows] = exact.argmax(axis=1)
-        best_f[rows] = exact[np.arange(exact.shape[0]), best_i[rows]]
-    return best_i, best_f
+        k, h = np.divmod(np.flatnonzero(keep[mag_of[rows] - start]), _HALF_POINTS)
+        k, j = np.concatenate((k, k)), np.concatenate((h, GRID_POINTS - 1 - h))
+        exact = np.full((rows.size, GRID_POINTS), -np.inf)
+        exact[k, j] = _log_pow_p(_GRID_LOG_RATIO[j], _GRID_LOG_CC[j], p, distinct[rows][k])
+        i = exact.argmax(axis=1)
+        best_i[rows] = i
+        best_f[rows] = exact[np.arange(rows.size), i]
+    return best_i[row_of], best_f[row_of]
 
 
 def _log_m_pow_p(c, p: float, slope):
@@ -220,7 +252,7 @@ def family_witness(c: float, p: float, theta: float) -> QubitWitness:
     """
     d = delta(c, p, theta)
     a, b = optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
-    return QubitWitness(c=c, a=a, b=b, m_value=family_value(c, p, theta, a, b))
+    return QubitWitness(c=c, a=a, b=b, m_value=_family_value(c, p, d, a, b))
 
 
 def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -15,6 +16,9 @@ from nclp.qubitfamily import (
     family_maxima,
     _GRID_LOG_CC,
     _GRID_LOG_RATIO,
+    _HALF_ABS_LOG_RATIO,
+    _HALF_LOG_CC,
+    _HALF_POINTS,
     _SCREEN_WINDOW,
     _grid_argmax,
     _log_m_pow_p,
@@ -288,13 +292,27 @@ def _full_scan(p, slope):
 
 
 def _argmax_cases():
-    """(p, thetas): the benchmark rows, the ends of p and theta, and random cells."""
+    """(p, thetas): the benchmark rows, the ends of p and theta, random cells,
+    and theta lists that probe the fold onto |slope| and the half grid."""
     benchmark_thetas = [k * 0.005 for k in range(201)]
     yield from ((1.0 + k / 100, benchmark_thetas) for k in range(100))
     yield from ((p, [0.0, 0.5, 1.0]) for p in (1.0, math.nextafter(1.0, 2.0), 1.999999))
     rng = np.random.default_rng(20)
     for _ in range(40):
         yield float(rng.uniform(1.0, 2.0)), rng.uniform(0.0, 1.0, 37).tolist()
+    # Not mirror-symmetric: no theta has its 1 - theta in the list.
+    yield from ((p, [0.05, 0.2, 0.61, 0.77, 0.9]) for p in (1.0, 1.3))
+    # Repeats, of one theta and of a mirror pair.
+    yield from ((p, [0.3, 0.3, 0.7, 0.3, 0.95, 0.95, 0.05, 0.7]) for p in (1.0, 1.5))
+    # Exactly mirrored: the thetas are dyadic, so theta and 1 - theta give
+    # slopes of exactly opposite sign.
+    mirrored = [0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0]
+    yield from ((p, mirrored) for p in (1.0, 1.25, 1.75))
+    yield from ((p, [0.1]) for p in (1.0, 1.6))
+    # At p = 1 the side of each mirror pair where log d >= 0 dominates, and
+    # the argmax sits at one end of the grid.
+    yield 1.0, [0.0, 0.1, 0.2, 0.35]
+    yield 1.0, [0.65, 0.8, 0.9, 1.0]
 
 
 def test_grid_argmax_is_the_full_scan_bitwise():
@@ -303,14 +321,31 @@ def test_grid_argmax_is_the_full_scan_bitwise():
         slope = (2.0 * np.array(thetas) - 1.0) / p
         got_i, got_f = _grid_argmax(p, slope)
         want_i, want_f = _full_scan(p, slope)
-        assert np.array_equal(got_i, want_i), p
-        assert got_f.tobytes() == want_f.tobytes(), p
+        assert np.array_equal(got_i, want_i), (p, thetas)
+        assert got_f.tobytes() == want_f.tobytes(), (p, thetas)
+        # The folded screen against the larger exact value of each mirror
+        # pair h, GRID_POINTS - 1 - h.
         exact = _log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, slope[:, None])
-        screen = _screen_log_pow_p(_GRID_LOG_RATIO, _GRID_LOG_CC, p, slope[:, None])
-        worst = max(worst, float(np.abs(screen - exact).max()))
+        envelope = np.maximum(exact[:, :_HALF_POINTS], exact[:, ::-1][:, :_HALF_POINTS])
+        a = np.abs(slope)[:, None] * _HALF_ABS_LOG_RATIO
+        screen = _screen_log_pow_p(a, _HALF_LOG_CC, p)
+        worst = max(worst, float(np.abs(screen - envelope).max()))
     # The screen is exact only while it stays far inside its window; a numpy
     # whose exp or log1p is much less accurate must fail here, not silently.
     assert worst < _SCREEN_WINDOW / 1e3, worst
+
+
+def test_grid_argmax_temporaries_do_not_grow_with_the_thetas():
+    # 8192 distinct thetas: one (thetas x half grid) bool mask alone is 4 MB.
+    thetas = np.linspace(0.0, 1.0, 8192)
+    slope = (2.0 * thetas - 1.0) / 1.5
+    tracemalloc.start()
+    try:
+        _grid_argmax(1.5, slope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
 
 
 def test_counterexample_p1_theta0():
