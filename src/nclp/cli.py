@@ -21,9 +21,9 @@ from itertools import chain
 import numpy as np
 
 from .cpmap import State, SuperOperator, compatibility
-from .embed import Source, build_embedded, classify_region, upper_bound
+from .embed import Source, _classify_row, build_embedded, classify_region, upper_bound
 from .normest import DEFAULT_SEED, RESTARTS, _check_seed, estimate_norm
-from .qubitfamily import family_maxima, find_counterexample
+from .qubitfamily import _family_row, find_counterexample
 from .tensor import steps_to_exceed
 
 EXIT_OK = 0
@@ -183,7 +183,14 @@ def render_phase_diagram_csv(
     *,
     with_family: bool,
 ) -> str:
-    """Grid classification as CSV, one line per cell in (p, theta) order."""
+    """Grid classification as CSV, one line per cell in (p, theta) order.
+
+    Each p row is built from two row passes that make no object per cell:
+    ``embed._classify_row`` gives the status and source columns, and, with
+    the family and p < 2, ``qubitfamily._family_row`` gives the m_value
+    floats of the family_max column.  The bytes are those of
+    ``classify_region`` and ``family_max(p, theta).m_value`` cell by cell.
+    """
     if not all(math.isfinite(v) for v in (p_min, p_max, theta_step, p_step)):
         raise ValueError("grid bounds and steps must be finite")
     if not (1.0 <= p_min <= p_max):
@@ -202,13 +209,14 @@ def render_phase_diagram_csv(
     lines = ["p,theta,status,source,family_max"]
     for p in _grid(p_min, p_max, p_step, p_count):
         if with_family and p < 2.0:
-            fams = [_fmt(w.m_value) for w in family_maxima(p, thetas)]
+            fams = [_fmt(m) for _, _, m in _family_row(p, thetas)[1]]
         else:
             fams = no_family
         p_col = _fmt(p)
-        for theta, theta_col, fam in zip(thetas, theta_cols, fams):
-            source_cols = _SOURCE_COLS[classify_region(p, theta)]
-            lines.append(f"{p_col},{theta_col},{source_cols},{fam}")
+        lines += [
+            f"{p_col},{theta_col},{_SOURCE_COLS[source]},{fam}"
+            for theta_col, source, fam in zip(theta_cols, _classify_row(p, thetas), fams)
+        ]
     return "\n".join(lines) + "\n"
 
 

@@ -13,6 +13,7 @@ check, the threshold curves and the bounded / unbounded / unknown regions.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -48,8 +49,16 @@ class Source(Enum):
 
 def _check_p_theta(p: float, theta: float) -> None:
     """Refuse all but finite p >= 1 and theta in [0, 1]; NaN fails both tests."""
+    _check_p(p)
+    _check_theta(theta)
+
+
+def _check_p(p: float) -> None:
     if not (1.0 <= p < math.inf):
         raise ValueError(f"p must lie in [1, inf), got {p}")
+
+
+def _check_theta(theta: float) -> None:
     if not (0.0 <= theta <= 1.0):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
 
@@ -139,14 +148,24 @@ def classify_region(p: float, theta: float) -> Source:
     its endpoints); the curves theta = (1 -+ sqrt(p-1))/2 are excluded from
     the unbounded region (points exactly on them are unknown).
     """
-    _check_p_theta(p, theta)
+    return _classify_row(p, (theta,))[0]
+
+
+def _classify_row(p: float, thetas: Sequence[float]) -> list[Source]:
+    """``classify_region`` of (p, theta) for each theta at one p: the one home
+    of the rule.  p is checked once and each theta once, and the thresholds
+    are computed once per row."""
+    _check_p(p)
+    for theta in thetas:
+        _check_theta(theta)
     if p >= 2.0:
-        return Source.THM41
-    if theta == 0.5:
-        return Source.HJX_HALF
-    if 1.0 - p / 2.0 <= theta <= p / 2.0:
-        return Source.THM43
+        return [Source.THM41] * len(thetas)
+    lo, hi = 1.0 - p / 2.0, p / 2.0
     th = theta_thresholds(p)
-    if theta < th.theta0 or theta > th.theta1:
-        return Source.THM61
-    return Source.NONE
+    return [
+        Source.HJX_HALF if theta == 0.5
+        else Source.THM43 if lo <= theta <= hi
+        else Source.THM61 if theta < th.theta0 or theta > th.theta1
+        else Source.NONE
+        for theta in thetas
+    ]

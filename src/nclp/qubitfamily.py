@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cpmap import State, SuperOperator
-from .embed import _check_p_theta
+from .embed import _check_p_theta, _check_theta
 
 # Golden-section step 1/phi.
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -90,7 +90,17 @@ def delta(c: float, p: float, theta: float) -> float:
     """Anti-diagonal weight ((1-c)/c)^((2 theta - 1)/p)."""
     _check_c(c)
     _check_p_theta(p, theta)
-    return float(math.exp((2.0 * theta - 1.0) / p * math.log((1.0 - c) / c)))
+    return _delta(c, p, theta)
+
+
+def _delta(c: float, p: float, theta: float) -> float:
+    """``delta`` with no checks."""
+    return math.exp((2.0 * theta - 1.0) / p * math.log((1.0 - c) / c))
+
+
+def _check_delta(delta_value: float) -> None:
+    if not 0.0 < delta_value < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta_value}")
 
 
 def optimal_ab(delta_value: float, p: float) -> tuple[float, float]:
@@ -101,14 +111,33 @@ def optimal_ab(delta_value: float, p: float) -> tuple[float, float]:
     """
     if not 1.0 < p < math.inf:
         raise ValueError(f"optimal pair requires finite p > 1, got {p}")
-    if not 0.0 < delta_value < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta_value}")
+    _check_delta(delta_value)
+    return _optimal_ab(delta_value, p)
+
+
+# np.logaddexp(0.0, 0.0): numpy returns x + its LOGE2 when x equals the other argument.
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp0(x: float) -> float:
+    """``np.logaddexp(x, 0.0)`` for one float, as the libm calls numpy makes:
+    x + log1p(e^-x) for x > 0, 0 + log1p(e^x) for x < 0 and x + log 2 at
+    x = 0 of either sign.  A numpy ufunc call on one float costs about 1.6 us.
+    """
+    if x > 0.0:
+        return x + math.log1p(math.exp(-x))
+    if x < 0.0:
+        return 0.0 + math.log1p(math.exp(x))
+    return x + _LOG2
+
+
+def _optimal_ab(d: float, p: float) -> tuple[float, float]:
+    """``optimal_ab`` with no checks."""
     q = p / (p - 1.0)
+    log_dq = q * math.log(d)
     # log(1 + d^q) computed stably for extreme q * log(d).
-    log_denom = np.logaddexp(q * math.log(delta_value), 0.0)
-    a = math.exp((q * math.log(delta_value) - log_denom) / p)
-    b = math.exp(-log_denom / p)
-    return a, b
+    log_denom = _logaddexp0(log_dq)
+    return math.exp((log_dq - log_denom) / p), math.exp(-log_denom / p)
 
 
 def family_value(c: float, p: float, theta: float, a: float, b: float) -> float:
@@ -255,15 +284,39 @@ def family_witness(c: float, p: float, theta: float) -> QubitWitness:
     (a, b) is ``optimal_ab`` for p > 1 and the endpoint pair (1, 0) at
     p = 1; m_value is ``family_value`` there, which for p > 1 equals
     (gamma (1 + d^-p)(d^q + 1)^(p-1))^(1/p) with gamma = (c(1-c))^(p/2),
-    and for p = 1 equals sqrt(c(1-c))(1 + d).
+    and for p = 1 equals sqrt(c(1-c))(1 + d).  ``_witness`` computes all
+    three after the checks that ``delta`` and ``optimal_ab`` make.
     """
     d = delta(c, p, theta)
-    a, b = optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
-    return QubitWitness(c=c, a=a, b=b, m_value=_family_value(c, p, d, a, b))
+    if p > 1.0:
+        _check_delta(d)
+    return QubitWitness(c, *_witness(c, p, theta))
+
+
+def _witness(c: float, p: float, theta: float) -> tuple[float, float, float]:
+    """(a, b, m_value) of ``family_witness`` with no checks: the one place
+    that picks the pair (a, b) for a family member."""
+    d = _delta(c, p, theta)
+    a, b = _optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
+    return a, b, _family_value(c, p, d, a, b)
 
 
 def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
     """Maximize ``family_witness(c, p, theta).m_value`` over c, for each theta at one p.
+
+    ``_family_row`` finds each maximum and returns floats; this wraps them in
+    one ``QubitWitness`` per theta, bitwise what ``family_witness`` gives at
+    the same c.
+    """
+    return [QubitWitness(c, *w) for c, w in zip(*_family_row(p, thetas))]
+
+
+def _family_row(
+    p: float, thetas: Sequence[float]
+) -> tuple[list[float], list[tuple[float, float, float]]]:
+    """Each theta's maximizing family member c and its (a, b, m_value) from
+    ``_witness``, as floats: ``family_maxima`` without a dataclass per theta,
+    which the phase-diagram CSV reads directly.
 
     Coarse scan of t = c - 1/2 over ``GRID_POINTS`` values in
     (-1/2 + margin, 1/2 - margin): ``_grid_argmax`` gives each theta's first
@@ -275,7 +328,7 @@ def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
     if not (1.0 <= p < 2.0):
         raise ValueError(f"the family certifies norms for p in [1, 2), got {p}")
     for theta in thetas:
-        _check_p_theta(p, theta)
+        _check_theta(theta)
     slope = (2.0 * np.array(thetas, dtype=float) - 1.0) / p
     best_i, best_f = _grid_argmax(p, slope)
     lo = _TS[np.maximum(best_i - 1, 0)]
@@ -312,7 +365,8 @@ def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
     t_best = np.where(first, x1, x2)
     grid_wins = best_f > np.where(first, f1, f2)
     t_best = np.where(grid_wins, _TS[best_i], t_best)
-    return [family_witness(0.5 + t, p, theta) for t, theta in zip(t_best.tolist(), thetas)]
+    cs = [0.5 + t for t in t_best.tolist()]
+    return cs, [_witness(c, p, theta) for c, theta in zip(cs, thetas)]
 
 
 def family_max(p: float, theta: float) -> QubitWitness:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from nclp import cli
 from nclp.cpmap import SuperOperator
-from nclp.qubitfamily import qubit_map, qubit_state
+from nclp.embed import classify_region
+from nclp.qubitfamily import family_max, qubit_map, qubit_state
 
 
 def superop_json(t, kind="action"):
@@ -132,6 +133,29 @@ def test_phase_diagram_byte_identical_runs(tmp_path):
         )
         assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def _per_cell_csv(p_values, theta_step, with_family):
+    """The phase-diagram CSV built cell by cell from ``classify_region`` and
+    ``family_max``, the oracle of the renderer's row passes."""
+    count = math.floor(1.0 / theta_step + 1e-9) + 1
+    thetas = [min(k * theta_step, 1.0) for k in range(count)]
+    lines = ["p,theta,status,source,family_max"]
+    for p in p_values:
+        for theta in thetas:
+            source = classify_region(p, theta)
+            fam = "%.17g" % family_max(p, theta).m_value if with_family and p < 2.0 else ""
+            lines.append(f"{p:.17g},{theta:.17g},{source.status.value},{source.value},{fam}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("theta_step", [0.07, 0.3])
+@pytest.mark.parametrize("with_family", [True, False])
+def test_phase_diagram_rows_match_the_per_cell_oracle(theta_step, with_family):
+    # off the benchmark grid: several rows per call, the p = 1 row and a row past p = 2
+    p_values = [min(1.0 + k * 0.35, 2.05) for k in range(4)]
+    csv_text = cli.render_phase_diagram_csv(1.0, 2.05, theta_step, 0.35, with_family=with_family)
+    assert csv_text == _per_cell_csv(p_values, theta_step, with_family)
 
 
 def test_phase_diagram_floats_round_trip():

@@ -7,6 +7,7 @@ from nclp.cpmap import State, SuperOperator, compatibility
 from nclp.embed import (
     Source,
     Status,
+    _classify_row,
     build_embedded,
     classify_region,
     exact_norm_p2,
@@ -223,6 +224,52 @@ def test_classify_region_validates_input():
     for p, theta, message in BAD_P_THETA + [(0.5, 0.5, P_RANGE)]:
         with pytest.raises(ValueError, match=message):
             classify_region(p, theta)
+
+
+def _per_cell_rule(p, theta):
+    """``classify_region`` as it was written cell by cell, kept as the oracle
+    of the row classifier."""
+    if p >= 2.0:
+        return Source.THM41
+    if theta == 0.5:
+        return Source.HJX_HALF
+    if 1.0 - p / 2.0 <= theta <= p / 2.0:
+        return Source.THM43
+    th = theta_thresholds(p)
+    if theta < th.theta0 or theta > th.theta1:
+        return Source.THM61
+    return Source.NONE
+
+
+def test_row_classifier_is_the_per_cell_rule():
+    ps = [1.0 + k * 0.03 for k in range(40)] + [math.nextafter(2.0, 1.0), 2.0, 2.5]
+    for p in ps:
+        thetas = [k / 200 for k in range(201)] + [
+            0.5, 1.0 - p / 2.0, p / 2.0, theta_thresholds(min(p, 2.0)).theta0,
+            theta_thresholds(min(p, 2.0)).theta1,
+        ]
+        thetas = [t for t in thetas if 0.0 <= t <= 1.0]
+        want = [_per_cell_rule(p, t) for t in thetas]
+        assert _classify_row(p, thetas) == want, p
+        assert [classify_region(p, t) for t in thetas] == want, p
+
+
+@pytest.mark.parametrize(
+    "p,theta,source",
+    # cells on or next to a theta curve (FOUND, PR 18), pinned to the rule's
+    # floats as they round today; they move only with ROADMAP item 7
+    [(1.64, 0.1, Source.THM61), (1.81, 0.05, Source.NONE), (1.25, 0.25, Source.NONE),
+     (1.01, 0.55, Source.NONE)],
+)
+def test_row_classifier_on_curve_cells(p, theta, source):
+    assert _classify_row(p, [0.5, theta]) == [Source.HJX_HALF, source]
+    assert classify_region(p, theta) is source
+
+
+def test_row_classifier_refuses_what_classify_region_refuses():
+    for p, theta, message in BAD_P_THETA + [(0.5, 0.5, P_RANGE), (1.5, 1.5, THETA_RANGE)]:
+        with pytest.raises(ValueError, match=message):
+            _classify_row(p, [0.0, 0.5, theta])
 
 
 # ---------------------------------------------------------------------------

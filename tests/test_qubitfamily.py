@@ -23,6 +23,7 @@ from nclp.qubitfamily import (
     _grid_argmax,
     _log_m_pow_p,
     _log_pow_p,
+    _logaddexp0,
     _screen_log_pow_p,
     family_value,
     family_witness,
@@ -166,6 +167,73 @@ REFUSED = [
 def test_family_functions_refuse_non_finite_or_out_of_range(fn, args, message):
     with pytest.raises(ValueError, match=message):
         fn(*args)
+
+
+# ---------------------------------------------------------------------------
+# the scalar kernel against the numpy forms it replaced
+
+
+def _hex_or_error(fn, *args):
+    """The float.hex of each number ``fn`` returns, or its error's type and text."""
+    try:
+        out = fn(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, QubitWitness):
+        out = astuple(out)
+    return tuple(float(x).hex() for x in out)
+
+
+def test_logaddexp0_is_numpy_logaddexp_bitwise():
+    rng = np.random.default_rng(23)
+    draws = rng.uniform(-800.0, 800.0, 100_000).tolist()
+    edges = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 700.0, -700.0,
+             745.0, -745.0, 800.0, -800.0]
+    differ = [x for x in draws + edges
+              if _logaddexp0(x).hex() != float(np.logaddexp(x, 0.0)).hex()]
+    assert not differ, differ[:5]
+
+
+def _numpy_optimal_ab(delta_value, p):
+    """``optimal_ab`` as it was written with ``np.logaddexp``, kept as its oracle."""
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"optimal pair requires finite p > 1, got {p}")
+    if not 0.0 < delta_value < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta_value}")
+    q = p / (p - 1.0)
+    log_denom = np.logaddexp(q * math.log(delta_value), 0.0)
+    a = math.exp((q * math.log(delta_value) - log_denom) / p)
+    b = math.exp(-log_denom / p)
+    return a, b
+
+
+def _numpy_family_witness(c, p, theta):
+    """``family_witness`` as it was written on ``_numpy_optimal_ab``."""
+    d = delta(c, p, theta)
+    a, b = _numpy_optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
+    return c, a, b, family_value(c, p, theta, a, b)
+
+
+def test_optimal_ab_and_family_witness_keep_their_bits_and_errors():
+    rng = np.random.default_rng(24)
+    edge_c = [5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-16, 0.0, 1.0, -0.2, math.nan]
+    edge_p = [1.0, math.nextafter(1.0, 2.0), 1.999999, 2.0, 3.0, 0.9, math.inf, math.nan]
+    edge_theta = [0.0, 0.5, 1.0, -0.1, 1.1, math.nan]
+    cells = [(float(c), float(p), float(t)) for c, p, t in zip(
+        rng.uniform(0.0, 1.0, 3000), rng.uniform(1.0, 3.0, 3000), rng.uniform(0.0, 1.0, 3000)
+    )]
+    cells += [(c, p, t) for c in edge_c for p in edge_p for t in edge_theta]
+    for c, p, theta in cells:
+        assert _hex_or_error(family_witness, c, p, theta) == _hex_or_error(
+            _numpy_family_witness, c, p, theta
+        ), (c, p, theta)
+    deltas = np.exp(rng.uniform(-700.0, 700.0, 3000)).tolist()
+    deltas += [0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf, -1.0, math.nan]
+    for d, p in zip(deltas, rng.uniform(1.0, 3.0, len(deltas)).tolist()):
+        for q in (p, *edge_p):
+            assert _hex_or_error(optimal_ab, d, q) == _hex_or_error(
+                _numpy_optimal_ab, d, q
+            ), (d, q)
 
 
 # ---------------------------------------------------------------------------
