@@ -365,7 +365,7 @@ def _family_row(
     t_best = np.where(first, x1, x2)
     grid_wins = best_f > np.where(first, f1, f2)
     t_best = np.where(grid_wins, _TS[best_i], t_best)
-    cs = [0.5 + t for t in t_best.tolist()]
+    cs = (0.5 + t_best).tolist()
     return cs, [_witness(c, p, theta) for c, theta in zip(cs, thetas)]
 
 
