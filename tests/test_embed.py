@@ -256,8 +256,9 @@ def test_row_classifier_is_the_per_cell_rule():
 
 @pytest.mark.parametrize(
     "p,theta,source",
-    # cells on or next to a theta curve (FOUND, PR 18), pinned to the rule's
-    # floats as they round today; they move only with ROADMAP item 7
+    # cells on or next to a theta curve, decided by how sqrt(p - 1) rounds:
+    # pinned to what the rule gives today, which only an exact test of the
+    # curves should change
     [(1.64, 0.1, Source.THM61), (1.81, 0.05, Source.NONE), (1.25, 0.25, Source.NONE),
      (1.01, 0.55, Source.NONE)],
 )
