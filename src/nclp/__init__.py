@@ -31,13 +31,9 @@ from .qubitfamily import (
     QubitWitness,
     alpha,
     alpha1,
-    delta,
     family_max,
-    family_maxima,
-    family_value,
     family_witness,
     find_counterexample,
-    optimal_ab,
     qubit_map,
     qubit_state,
 )
@@ -60,19 +56,15 @@ __all__ = [
     "build_embedded",
     "classify_region",
     "compatibility",
-    "delta",
     "dual_element",
     "estimate_norm",
     "exact_norm_p2",
     "family_max",
-    "family_maxima",
-    "family_value",
     "family_witness",
     "find_counterexample",
     "is_completely_positive",
     "kron_state",
     "kron_superop",
-    "optimal_ab",
     "qubit_map",
     "qubit_state",
     "schatten_norm",

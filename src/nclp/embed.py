@@ -119,7 +119,7 @@ def upper_bound(rep: CompatibilityReport, p: float, source: Source) -> float | N
     sources :func:`classify_region` assigns them.  Returns None when
     ``source`` is neither, or the map is not certified CP.
     """
-    _check_p_theta(p, 0.5)  # only p: theta enters through ``source``
+    _check_p(p)
     if not rep.completely_positive or source not in (Source.THM41, Source.HJX_HALF):
         return None
     return rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .cpmap import SuperOperator, _apply, _matrix_units, unvec
+from .embed import _check_p
 from .matcore import _as_matrix, _norm_and_dual, _norms, schatten_norm
 
 DEFAULT_SEED = 0xC0FFEE
@@ -258,8 +259,7 @@ def estimate_norm(
     witness, its top right singular vector.  ``starts`` are still checked,
     but they, ``restarts`` and ``seed`` do not change the result.
     """
-    if not (1.0 <= p < math.inf):
-        raise ValueError(f"p must lie in [1, inf), got {p}")
+    _check_p(p)
     _check_integer("restarts", restarts)
     if not (1 <= restarts <= MAX_RESTARTS):
         raise ValueError(f"restarts must lie in [1, {MAX_RESTARTS}], got {restarts}")

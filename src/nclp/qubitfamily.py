@@ -11,8 +11,8 @@ has a closed form, and maximizing it over the family parameter certifies
 induced norms strictly above 1 for p < 2 and theta outside the interval
 [theta0, theta1] = [(1 - sqrt(p-1))/2, (1 + sqrt(p-1))/2].
 
-Scale convention: ``family_value`` and the ``m_value`` of ``family_witness``
-are norm-scale values (the p-th root of the closed-form p-th power); the
+Scale convention: the ``m_value`` of ``family_witness`` and ``family_max`` is
+a norm-scale value (the p-th root of the closed-form p-th power); the
 quadratic-coefficient checks against ``alpha`` apply the p-th power first.
 """
 
@@ -63,8 +63,11 @@ _SCREEN_WINDOW = 1e-9
 
 
 def _check_c(c: float):
-    if not (0.0 < c < 1.0):
-        raise ValueError(f"family parameter must lie in (0, 1), got {c}")
+    # (1-c)/c overflows for c below about 5.6e-309, where d would reach 0 or
+    # inf; with the ratio finite, d is positive and finite for every valid
+    # (p, theta).
+    if not (0.0 < c < 1.0 and (1.0 - c) / c < math.inf):
+        raise ValueError(f"family parameter must lie in (0, 1) with (1-c)/c finite, got {c}")
 
 
 def qubit_state(c: float) -> State:
@@ -86,33 +89,9 @@ def qubit_map(c: float) -> SuperOperator:
     return SuperOperator.from_map(act, 2)
 
 
-def delta(c: float, p: float, theta: float) -> float:
-    """Anti-diagonal weight ((1-c)/c)^((2 theta - 1)/p)."""
-    _check_c(c)
-    _check_p_theta(p, theta)
-    return _delta(c, p, theta)
-
-
 def _delta(c: float, p: float, theta: float) -> float:
-    """``delta`` with no checks."""
+    """Anti-diagonal weight d = ((1-c)/c)^((2 theta - 1)/p), with no checks."""
     return math.exp((2.0 * theta - 1.0) / p * math.log((1.0 - c) / c))
-
-
-def _check_delta(delta_value: float) -> None:
-    if not 0.0 < delta_value < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta_value}")
-
-
-def optimal_ab(delta_value: float, p: float) -> tuple[float, float]:
-    """Maximizing pair a = (d^q/(1+d^q))^(1/p), b = (1/(1+d^q))^(1/p), q conjugate.
-
-    Only defined for finite p > 1; at p = 1 ``family_witness`` uses the
-    endpoint pair (1, 0).
-    """
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"optimal pair requires finite p > 1, got {p}")
-    _check_delta(delta_value)
-    return _optimal_ab(delta_value, p)
 
 
 # np.logaddexp(0.0, 0.0): numpy returns x + its LOGE2 when x equals the other argument.
@@ -133,7 +112,9 @@ def _logaddexp0(x: float) -> float:
 
 
 def _optimal_ab(d: float, p: float) -> tuple[float, float]:
-    """``optimal_ab`` with no checks."""
+    """Maximizing pair a = (d^q/(1+d^q))^(1/p), b = (1/(1+d^q))^(1/p), q the
+    conjugate of p > 1, with no checks; at p = 1 ``_witness`` uses the
+    endpoint pair (1, 0)."""
     q = p / (p - 1.0)
     log_dq = q * math.log(d)
     # log(1 + d^q) computed stably for extreme q * log(d).
@@ -141,20 +122,11 @@ def _optimal_ab(d: float, p: float) -> tuple[float, float]:
     return math.exp((log_dq - log_denom) / p), math.exp(-log_denom / p)
 
 
-def family_value(c: float, p: float, theta: float, a: float, b: float) -> float:
-    """Norm of the embedded action on the witness a E_12 + b E_21.
-
-    Returns ((c(1-c))^(p/2) ((a + b/d)^p + (a d + b)^p))^(1/p) with
-    d = delta(c, p, theta); a certified lower bound for the induced norm
-    when a^p + b^p = 1.
-    """
-    if not (0.0 <= a < math.inf and 0.0 <= b < math.inf):
-        raise ValueError(f"witness coefficients must be finite and >= 0, got ({a}, {b})")
-    return _family_value(c, p, delta(c, p, theta), a, b)
-
-
 def _family_value(c: float, p: float, d: float, a: float, b: float) -> float:
-    """``family_value`` from d = delta(c, p, theta), with no checks."""
+    """Norm of the embedded action on the witness a E_12 + b E_21, with no
+    checks: ((c(1-c))^(p/2) ((a + b/d)^p + (a d + b)^p))^(1/p) with
+    d = ``_delta(c, p, theta)``; a certified lower bound for the induced norm
+    when a^p + b^p = 1."""
     base = (c * (1.0 - c)) ** (p / 2.0) * ((a + b / d) ** p + (a * d + b) ** p)
     return float(base ** (1.0 / p))
 
@@ -265,7 +237,7 @@ def alpha(p: float, theta: float) -> float:
 
 def alpha1(theta: float) -> float:
     """First-order coefficient -2(2 theta - 1) of t -> m at p = 1."""
-    _check_p_theta(1.0, theta)
+    _check_theta(theta)
     return -2.0 * (2.0 * theta - 1.0)
 
 
@@ -282,15 +254,14 @@ class QubitWitness:
 def family_witness(c: float, p: float, theta: float) -> QubitWitness:
     """Family member c with its best anti-diagonal witness a E_12 + b E_21.
 
-    (a, b) is ``optimal_ab`` for p > 1 and the endpoint pair (1, 0) at
-    p = 1; m_value is ``family_value`` there, which for p > 1 equals
+    (a, b) is ``_optimal_ab`` for p > 1 and the endpoint pair (1, 0) at
+    p = 1; m_value is ``_family_value`` there, which for p > 1 equals
     (gamma (1 + d^-p)(d^q + 1)^(p-1))^(1/p) with gamma = (c(1-c))^(p/2),
-    and for p = 1 equals sqrt(c(1-c))(1 + d).  ``_witness`` computes all
-    three after the checks that ``delta`` and ``optimal_ab`` make.
+    and for p = 1 equals sqrt(c(1-c))(1 + d).  c, p and theta are checked
+    once, and ``_witness`` computes d once and all three values from it.
     """
-    d = delta(c, p, theta)
-    if p > 1.0:
-        _check_delta(d)
+    _check_c(c)
+    _check_p_theta(p, theta)
     return QubitWitness(c, *_witness(c, p, theta))
 
 
@@ -302,22 +273,14 @@ def _witness(c: float, p: float, theta: float) -> tuple[float, float, float]:
     return a, b, _family_value(c, p, d, a, b)
 
 
-def family_maxima(p: float, thetas: Sequence[float]) -> list[QubitWitness]:
-    """Maximize ``family_witness(c, p, theta).m_value`` over c, for each theta at one p.
-
-    ``_family_row`` finds each maximum and returns floats; this wraps them in
-    one ``QubitWitness`` per theta, bitwise what ``family_witness`` gives at
-    the same c.
-    """
-    return [QubitWitness(c, *w) for c, w in zip(*_family_row(p, thetas))]
-
-
 def _family_row(
     p: float, thetas: Sequence[float]
 ) -> tuple[list[float], list[tuple[float, float, float]]]:
-    """Each theta's maximizing family member c and its (a, b, m_value) from
-    ``_witness``, as floats: ``family_maxima`` without a dataclass per theta,
-    which the phase-diagram CSV reads directly.
+    """Maximize ``family_witness(c, p, theta).m_value`` over c, for each theta
+    at one p: each theta's maximizing c and its (a, b, m_value) from
+    ``_witness``, as floats, bitwise what ``family_witness`` gives at the same
+    c.  ``family_max`` wraps one theta's in a ``QubitWitness``; the
+    phase-diagram CSV reads a whole row's directly.
 
     Coarse scan of t = c - 1/2 over ``GRID_POINTS`` values in
     (-1/2 + margin, 1/2 - margin): ``_grid_argmax`` gives each theta's first
@@ -371,8 +334,10 @@ def _family_row(
 
 
 def family_max(p: float, theta: float) -> QubitWitness:
-    """``family_maxima`` at a single theta."""
-    return family_maxima(p, [theta])[0]
+    """The maximizing family member at one (p, theta): ``_family_row`` at a
+    single theta."""
+    (c,), (w,) = _family_row(p, [theta])
+    return QubitWitness(c, *w)
 
 
 def find_counterexample(p: float, theta: float, tol: float) -> QubitWitness | None:

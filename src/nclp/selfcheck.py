@@ -27,11 +27,11 @@ from .embed import (
 from .matcore import _hermitian_part, dual_element, schatten_norm
 from .normest import estimate_norm
 from .qubitfamily import (
+    _delta,
+    _family_row,
     alpha,
     alpha1,
-    delta,
     family_max,
-    family_maxima,
     family_witness,
     qubit_map,
     qubit_state,
@@ -573,7 +573,7 @@ def check_embedded_action_match(seed: int) -> CheckResult:
         p = float(rng.uniform(1.0, 2.0))
         theta = float(rng.uniform(0.0, 1.0))
         emap = build_embedded(qubit_map(c), qubit_state(c), p, theta)
-        d = delta(c, p, theta)
+        d = _delta(c, p, theta)
         s = math.sqrt(c * (1 - c))
         e12 = np.array([[0, 1], [0, 0]], dtype=complex)
         e21 = e12.T.copy()
@@ -584,20 +584,20 @@ def check_embedded_action_match(seed: int) -> CheckResult:
 
 
 def check_family_batch_determinism(seed: int) -> CheckResult:
-    # every cell of a family_maxima stack, rerun alone, must come out bit for
-    # bit the same: a cell's witness may not depend on its row.  The fixed
-    # cells take their argmax at the edge of the scan (p = 1.2, theta = 0.9;
-    # p = 1, theta = 0).
+    # every cell of a _family_row stack, rerun alone through family_max, must
+    # come out bit for bit the same: a cell's witness may not depend on its
+    # row.  The fixed cells take their argmax at the edge of the scan
+    # (p = 1.2, theta = 0.9; p = 1, theta = 0).
     rng = _rng(seed, 31)
     ps = [1.0, 1.2] + [float(p) for p in rng.uniform(1.0, 2.0, 3)]
     thetas = [0.0, 0.5, 0.9, 1.0] + [float(t) for t in rng.uniform(0.0, 1.0, 8)]
     cells = mismatched = 0
     for p in ps:
-        for theta, w in zip(thetas, family_maxima(p, thetas)):
+        for theta, c, w in zip(thetas, *_family_row(p, thetas)):
             alone = family_max(p, theta)
             cells += 1
             mismatched += any(
-                float(x).hex() != float(y).hex() for x, y in zip(astuple(w), astuple(alone))
+                float(x).hex() != float(y).hex() for x, y in zip((c, *w), astuple(alone))
             )
     return CheckResult(
         "qubitfamily.batch_determinism",

@@ -24,6 +24,44 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+# The public surface: adding or dropping a name edits this list, and
+# CHANGES.md says which name and why.
+PUBLIC_NAMES = [
+    "CompatibilityReport",
+    "EmbeddedMap",
+    "NormEstimate",
+    "QubitWitness",
+    "Source",
+    "State",
+    "Status",
+    "SuperOperator",
+    "Thresholds",
+    "alpha",
+    "alpha1",
+    "build_embedded",
+    "classify_region",
+    "compatibility",
+    "dual_element",
+    "estimate_norm",
+    "exact_norm_p2",
+    "family_max",
+    "family_witness",
+    "find_counterexample",
+    "is_completely_positive",
+    "kron_state",
+    "kron_superop",
+    "qubit_map",
+    "qubit_state",
+    "schatten_norm",
+    "theta_thresholds",
+    "upper_bound",
+]
+
+
+def test_public_names_are_the_pinned_list():
+    assert sorted(nclp.__all__) == PUBLIC_NAMES
+
+
 def test_every_check_is_registered_once():
     # each check reports under one name of its own, read from its source so
     # that no check has to run

@@ -14,7 +14,7 @@ from nclp.embed import (
     theta_thresholds,
     upper_bound,
 )
-from nclp.qubitfamily import delta, qubit_map, qubit_state
+from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre, _random_state
 
 RNG = np.random.default_rng(20240813)
@@ -36,7 +36,7 @@ def test_identity_embeds_to_identity():
 def test_qubit_antidiagonal_action(p, theta):
     c = 0.6
     emap = build_embedded(qubit_map(c), qubit_state(c), p, theta)
-    d = delta(c, p, theta)
+    d = ((1 - c) / c) ** ((2 * theta - 1) / p)
     s = math.sqrt(c * (1 - c))
     assert np.abs(emap.u_action(E12) - s * (E12 + d * E21)).max() < 1e-12
     assert np.abs(emap.u_action(E21) - s * (E12 / d + E21)).max() < 1e-12

@@ -11,24 +11,23 @@ from nclp.qubitfamily import (
     QubitWitness,
     alpha,
     alpha1,
-    delta,
-    family_max,
-    family_maxima,
     _GRID_LOG_CC,
     _GRID_LOG_RATIO,
     _HALF_ABS_LOG_RATIO,
     _HALF_LOG_CC,
     _HALF_POINTS,
     _SCREEN_WINDOW,
+    _delta,
+    _family_row,
     _grid_argmax,
     _log_m_pow_p,
     _log_pow_p,
     _logaddexp0,
+    _optimal_ab,
     _screen_log_pow_p,
-    family_value,
+    family_max,
     family_witness,
     find_counterexample,
-    optimal_ab,
     qubit_map,
     qubit_state,
 )
@@ -56,6 +55,30 @@ def test_qubit_state_rejects_endpoint(c):
         qubit_state(c)
 
 
+# (1-c)/c overflows at these c: the smallest subnormal, a c below the edge,
+# and the c one ulp below the smallest c whose ratio is finite.
+C_RATIO_OVERFLOWS = [5e-324, 5.5e-309, math.nextafter(5.56268464626801e-309, 0.0)]
+
+
+@pytest.mark.parametrize("c", C_RATIO_OVERFLOWS)
+def test_family_refuses_c_whose_ratio_overflows(c):
+    calls = [(qubit_state, (c,)), (qubit_map, (c,))]
+    calls += [(family_witness, (c, p, theta)) for p in (1.0, 1.5, 3.0) for theta in (0.0, 0.5, 1.0)]
+    for fn, args in calls:
+        with pytest.raises(ValueError, match="family parameter must lie in"):
+            fn(*args)
+
+
+@pytest.mark.parametrize("c", [5.56268464626801e-309, 1.0 - 2.0**-53])
+def test_family_witness_is_defined_at_the_c_edges(c):
+    # the smallest c whose (1-c)/c is finite, and the largest c below 1
+    for p in (1.0, 1.5):
+        for theta in (0.0, 0.5, 1.0):
+            assert 0.0 < _delta(c, p, theta) < math.inf, (p, theta)
+            w = family_witness(c, p, theta)
+            assert w.c == c and not math.isnan(w.m_value), (p, theta)
+
+
 def test_qubit_map_unital_cp_state_preserving():
     for c in (0.1, 0.5, 0.9):
         t = qubit_map(c)
@@ -71,17 +94,18 @@ def test_qubit_map_unital_cp_state_preserving():
 
 def test_delta_values():
     for p, theta in ((1.0, 0.0), (1.5, 0.3), (2.0, 1.0)):
-        assert delta(0.5, p, theta) == pytest.approx(1.0, abs=1e-15)
+        assert _delta(0.5, p, theta) == pytest.approx(1.0, abs=1e-15)
     for c, p in ((0.2, 1.0), (0.7, 1.5), (0.9, 3.0)):
-        assert delta(c, p, 0.5) == pytest.approx(1.0, abs=1e-15)
-    assert delta(0.6, 1.0, 0.0) == pytest.approx(1.5, rel=1e-14)
+        assert _delta(c, p, 0.5) == pytest.approx(1.0, abs=1e-15)
+    assert _delta(0.6, 1.0, 0.0) == pytest.approx(1.5, rel=1e-14)
 
 
 def test_optimal_ab_balanced():
+    # d = 1 at c = 1/2
     for p in (1.5, 2.0, 3.0):
-        a, b = optimal_ab(1.0, p)
-        assert a == pytest.approx(2.0 ** (-1.0 / p), rel=1e-14)
-        assert b == pytest.approx(a, rel=1e-14)
+        w = family_witness(0.5, p, 0.3)
+        assert w.a == pytest.approx(2.0 ** (-1.0 / p), rel=1e-14)
+        assert w.b == pytest.approx(w.a, rel=1e-14)
 
 
 def test_optimal_ab_constraint():
@@ -89,80 +113,57 @@ def test_optimal_ab_constraint():
     for _ in range(20):
         d = float(rng.uniform(0.05, 20.0))
         p = float(rng.uniform(1.01, 4.0))
-        a, b = optimal_ab(d, p)
+        a, b = _optimal_ab(d, p)
         assert a**p + b**p == pytest.approx(1.0, abs=1e-12)
 
 
 def test_optimal_ab_frozen_example():
-    a, b = optimal_ab(1.5, 2.0)
+    a, b = _optimal_ab(1.5, 2.0)
     assert a == pytest.approx(0.8320502943378437, abs=1e-15)
     assert b == pytest.approx(0.5547001962252291, abs=1e-15)
 
 
-def test_optimal_ab_rejects_p1():
-    with pytest.raises(ValueError):
-        optimal_ab(1.5, 1.0)
-
-
 def test_family_value_balanced_baseline():
     for p in (1.5, 2.0, 3.0):
-        a = b = 2.0 ** (-1.0 / p)
-        assert family_value(0.5, p, 0.3, a, b) == pytest.approx(1.0, rel=1e-14)
+        assert family_witness(0.5, p, 0.3).m_value == pytest.approx(1.0, rel=1e-14)
 
 
 def test_family_value_p1_endpoint_witnesses():
-    assert family_value(0.6, 1.0, 0.0, 1.0, 0.0) == pytest.approx(
+    assert family_witness(0.6, 1.0, 0.0).m_value == pytest.approx(
         math.sqrt(0.24) * 2.5, rel=1e-12
     )
-    assert family_value(0.9, 1.0, 0.0, 1.0, 0.0) == pytest.approx(3.0, abs=1e-12)
-
-
-def test_family_value_rejects_negative_coefficients():
-    with pytest.raises(ValueError):
-        family_value(0.5, 1.5, 0.5, -0.1, 1.0)
+    assert family_witness(0.9, 1.0, 0.0).m_value == pytest.approx(3.0, abs=1e-12)
 
 
 P_RANGE = r"p must lie in \[1, inf\), got"
 THETA_RANGE = r"theta must lie in \[0, 1\], got"
-# Each case with the one message it must raise; new cases go at the end so
-# that every case keeps its id.
-REFUSED = [
-    (delta, (0.3, math.inf, 0.2), P_RANGE),
-    (delta, (0.3, math.nan, 0.2), P_RANGE),
-    (delta, (0.3, 1.5, math.nan), THETA_RANGE),
-    (optimal_ab, (1.5, math.inf), "optimal pair requires finite p > 1"),
-    (optimal_ab, (1.5, math.nan), "optimal pair requires finite p > 1"),
-    (optimal_ab, (math.inf, 1.5), "delta must be positive and finite"),
-    (optimal_ab, (math.nan, 1.5), "delta must be positive and finite"),
-    (alpha, (math.inf, 0.2), P_RANGE),
-    (alpha, (math.nan, 0.2), P_RANGE),
-    (alpha, (1.5, math.nan), THETA_RANGE),
-    (alpha, (1.5, 1.5), THETA_RANGE),
-    (alpha1, (math.nan,), THETA_RANGE),
-    (alpha1, (1.5,), THETA_RANGE),
-    (family_value, (0.3, 1.5, 0.2, math.nan, 0.5), "witness coefficients"),
-    (family_value, (0.3, 1.5, 0.2, 0.5, math.nan), "witness coefficients"),
-    (family_value, (0.3, 1.5, 0.2, math.inf, 0.5), "witness coefficients"),
-    (family_value, (0.3, 1.5, 0.2, 0.5, math.inf), "witness coefficients"),
-    (family_witness, (0.3, math.inf, 0.2), P_RANGE),
-    (family_witness, (0.3, math.nan, 0.2), P_RANGE),
-    (family_witness, (0.3, 1.5, math.nan), THETA_RANGE),
-    (family_witness, (0.3, 1.5, -0.1), THETA_RANGE),
-    (family_witness, (0.3, 0.9, 0.2), P_RANGE),
-    (family_witness, (math.nan, 1.5, 0.2), "family parameter must lie in"),
-    (delta, (0.3, -math.inf, 0.2), P_RANGE),
-    (delta, (0.3, 1.5, math.inf), THETA_RANGE),
-    (alpha, (0.5, 0.2), P_RANGE),
-    (alpha, (1.5, -math.inf), THETA_RANGE),
-    (alpha1, (-0.1,), THETA_RANGE),
-    (family_value, (0.3, 0.9, 0.2, 1.0, 0.0), P_RANGE),
-]
+# Each case with the one message it must raise, keyed by the number in its id;
+# a new case takes the next number, and a removed case's number is not reused.
+REFUSED = {
+    7: (alpha, (math.inf, 0.2), P_RANGE),
+    8: (alpha, (math.nan, 0.2), P_RANGE),
+    9: (alpha, (1.5, math.nan), THETA_RANGE),
+    10: (alpha, (1.5, 1.5), THETA_RANGE),
+    11: (alpha1, (math.nan,), THETA_RANGE),
+    12: (alpha1, (1.5,), THETA_RANGE),
+    17: (family_witness, (0.3, math.inf, 0.2), P_RANGE),
+    18: (family_witness, (0.3, math.nan, 0.2), P_RANGE),
+    19: (family_witness, (0.3, 1.5, math.nan), THETA_RANGE),
+    20: (family_witness, (0.3, 1.5, -0.1), THETA_RANGE),
+    21: (family_witness, (0.3, 0.9, 0.2), P_RANGE),
+    22: (family_witness, (math.nan, 1.5, 0.2), "family parameter must lie in"),
+    25: (alpha, (0.5, 0.2), P_RANGE),
+    26: (alpha, (1.5, -math.inf), THETA_RANGE),
+    27: (alpha1, (-0.1,), THETA_RANGE),
+    29: (family_witness, (0.3, -math.inf, 0.2), P_RANGE),
+    30: (family_witness, (0.3, 1.5, math.inf), THETA_RANGE),
+}
 
 
 @pytest.mark.parametrize(
     "fn, args, message",
-    REFUSED,
-    ids=[f"{fn.__name__}-args{i}" for i, (fn, _, _) in enumerate(REFUSED)],
+    REFUSED.values(),
+    ids=[f"{fn.__name__}-args{i}" for i, (fn, _, _) in REFUSED.items()],
 )
 def test_family_functions_refuse_non_finite_or_out_of_range(fn, args, message):
     with pytest.raises(ValueError, match=message):
@@ -194,29 +195,37 @@ def test_logaddexp0_is_numpy_logaddexp_bitwise():
     assert not differ, differ[:5]
 
 
-def _numpy_optimal_ab(delta_value, p):
-    """``optimal_ab`` as it was written with ``np.logaddexp``, kept as its oracle."""
-    if not 1.0 < p < math.inf:
-        raise ValueError(f"optimal pair requires finite p > 1, got {p}")
-    if not 0.0 < delta_value < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta_value}")
+def _numpy_optimal_ab(d, p):
+    """The maximizing pair as it was written with ``np.logaddexp``, kept as the
+    oracle of ``_optimal_ab`` (finite p > 1 and d > 0 only)."""
     q = p / (p - 1.0)
-    log_denom = np.logaddexp(q * math.log(delta_value), 0.0)
-    a = math.exp((q * math.log(delta_value) - log_denom) / p)
+    log_denom = np.logaddexp(q * math.log(d), 0.0)
+    a = math.exp((q * math.log(d) - log_denom) / p)
     b = math.exp(-log_denom / p)
     return a, b
 
 
 def _numpy_family_witness(c, p, theta):
-    """``family_witness`` as it was written on ``_numpy_optimal_ab``."""
-    d = delta(c, p, theta)
+    """``family_witness`` written out on ``_numpy_optimal_ab``: its checks and
+    messages, d = ((1-c)/c)^((2 theta - 1)/p), the pair and the value."""
+    if not (0.0 < c < 1.0 and (1.0 - c) / c < math.inf):
+        raise ValueError(f"family parameter must lie in (0, 1) with (1-c)/c finite, got {c}")
+    if not (1.0 <= p < math.inf):
+        raise ValueError(f"p must lie in [1, inf), got {p}")
+    if not (0.0 <= theta <= 1.0):
+        raise ValueError(f"theta must lie in [0, 1], got {theta}")
+    d = math.exp((2.0 * theta - 1.0) / p * math.log((1.0 - c) / c))
     a, b = _numpy_optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
-    return c, a, b, family_value(c, p, theta, a, b)
+    m = ((c * (1.0 - c)) ** (p / 2.0) * ((a + b / d) ** p + (a * d + b) ** p)) ** (1.0 / p)
+    return c, a, b, m
 
 
 def test_optimal_ab_and_family_witness_keep_their_bits_and_errors():
     rng = np.random.default_rng(24)
-    edge_c = [5e-324, 1e-300, 1e-12, 0.5, 1.0 - 1e-16, 0.0, 1.0, -0.2, math.nan]
+    # Below 5.56268464626801e-309, (1-c)/c overflows and c is refused.
+    edge_c = [5e-324, 5.5e-309, math.nextafter(5.56268464626801e-309, 0.0),
+              5.56268464626801e-309, 1e-300, 1e-12, 0.5, 1.0 - 1e-16, 1.0 - 2.0**-53,
+              0.0, 1.0, -0.2, math.nan]
     edge_p = [1.0, math.nextafter(1.0, 2.0), 1.999999, 2.0, 3.0, 0.9, math.inf, math.nan]
     edge_theta = [0.0, 0.5, 1.0, -0.1, 1.1, math.nan]
     cells = [(float(c), float(p), float(t)) for c, p, t in zip(
@@ -228,10 +237,11 @@ def test_optimal_ab_and_family_witness_keep_their_bits_and_errors():
             _numpy_family_witness, c, p, theta
         ), (c, p, theta)
     deltas = np.exp(rng.uniform(-700.0, 700.0, 3000)).tolist()
-    deltas += [0.0, 5e-324, 1e-300, 1.0, 1e300, math.inf, -1.0, math.nan]
+    deltas += [5e-324, 1e-300, 1.0, 1e300]
+    pair_p = [p for p in edge_p if 1.0 < p < math.inf]
     for d, p in zip(deltas, rng.uniform(1.0, 3.0, len(deltas)).tolist()):
-        for q in (p, *edge_p):
-            assert _hex_or_error(optimal_ab, d, q) == _hex_or_error(
+        for q in (p, *pair_p):
+            assert _hex_or_error(_optimal_ab, d, q) == _hex_or_error(
                 _numpy_optimal_ab, d, q
             ), (d, q)
 
@@ -263,7 +273,7 @@ def test_search_objective_matches_family_witness():
 def test_family_witness_exceeds_one_near_threshold():
     w = family_witness(0.51, 1.5, 0.0)
     assert w.m_value > 1.0
-    assert (w.a, w.b) == optimal_ab(delta(0.51, 1.5, 0.0), 1.5)
+    assert (w.a, w.b) == _optimal_ab(_delta(0.51, 1.5, 0.0), 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +319,7 @@ def test_witness_invariants():
     w = family_max(p, theta)
     assert isinstance(w, QubitWitness)
     assert w.a**p + w.b**p == pytest.approx(1.0, abs=1e-12)
-    assert w.m_value == pytest.approx(family_value(w.c, p, theta, w.a, w.b), abs=1e-12)
+    assert astuple(w) == astuple(family_witness(w.c, p, theta))
 
 
 # (c, a, b, m_value) as float.hex, recorded (numpy 2.4.6, x86-64) from the
@@ -344,7 +354,7 @@ def test_family_max_bits_alone_and_stacked():
         assert _bits(family_max(p, theta)) == want, (p, theta)
     for p in sorted({p for p, _ in FAMILY_MAX_BITS}):
         thetas = [theta for q, theta in FAMILY_MAX_BITS if q == p]
-        got = [_bits(w) for w in family_maxima(p, thetas)]
+        got = [_bits(QubitWitness(c, *w)) for c, w in zip(*_family_row(p, thetas))]
         assert got == [FAMILY_MAX_BITS[p, theta] for theta in thetas], p
 
 
@@ -427,7 +437,7 @@ def test_counterexample_p1_theta0():
 
 def test_counterexample_value_at_specific_c():
     # the c = 0.9 family member certifies exactly 3.0
-    assert family_value(0.9, 1.0, 0.0, 1.0, 0.0) == pytest.approx(3.0, abs=1e-12)
+    assert family_witness(0.9, 1.0, 0.0).m_value == pytest.approx(3.0, abs=1e-12)
 
 
 def test_counterexample_inside_unbounded_strip():
@@ -466,4 +476,4 @@ def test_find_counterexample_validates_input():
 )
 def test_family_maxima_validates_input(p, thetas):
     with pytest.raises(ValueError):
-        family_maxima(p, thetas)
+        _family_row(p, thetas)
