@@ -137,34 +137,38 @@ def test_family_value_p1_endpoint_witnesses():
 
 P_RANGE = r"p must lie in \[1, inf\), got"
 THETA_RANGE = r"theta must lie in \[0, 1\], got"
-# Each case with the one message it must raise, keyed by the number in its id;
-# a new case takes the next number, and a removed case's number is not reused.
+# Each case with the one message it must raise, keyed by its id; a new case
+# takes the next number, and a removed case's number is not reused.  The
+# "delta" and "family_value" rows are the refusals of the checked delta and
+# m-value, which family_witness now makes before it computes either.
 REFUSED = {
-    7: (alpha, (math.inf, 0.2), P_RANGE),
-    8: (alpha, (math.nan, 0.2), P_RANGE),
-    9: (alpha, (1.5, math.nan), THETA_RANGE),
-    10: (alpha, (1.5, 1.5), THETA_RANGE),
-    11: (alpha1, (math.nan,), THETA_RANGE),
-    12: (alpha1, (1.5,), THETA_RANGE),
-    17: (family_witness, (0.3, math.inf, 0.2), P_RANGE),
-    18: (family_witness, (0.3, math.nan, 0.2), P_RANGE),
-    19: (family_witness, (0.3, 1.5, math.nan), THETA_RANGE),
-    20: (family_witness, (0.3, 1.5, -0.1), THETA_RANGE),
-    21: (family_witness, (0.3, 0.9, 0.2), P_RANGE),
-    22: (family_witness, (math.nan, 1.5, 0.2), "family parameter must lie in"),
-    25: (alpha, (0.5, 0.2), P_RANGE),
-    26: (alpha, (1.5, -math.inf), THETA_RANGE),
-    27: (alpha1, (-0.1,), THETA_RANGE),
-    29: (family_witness, (0.3, -math.inf, 0.2), P_RANGE),
-    30: (family_witness, (0.3, 1.5, math.inf), THETA_RANGE),
+    "delta-args0": (family_witness, (0.3, math.inf, 0.2), P_RANGE),
+    "delta-args1": (family_witness, (0.3, math.nan, 0.2), P_RANGE),
+    "delta-args2": (family_witness, (0.3, 1.5, math.nan), THETA_RANGE),
+    "alpha-args7": (alpha, (math.inf, 0.2), P_RANGE),
+    "alpha-args8": (alpha, (math.nan, 0.2), P_RANGE),
+    "alpha-args9": (alpha, (1.5, math.nan), THETA_RANGE),
+    "alpha-args10": (alpha, (1.5, 1.5), THETA_RANGE),
+    "alpha1-args11": (alpha1, (math.nan,), THETA_RANGE),
+    "alpha1-args12": (alpha1, (1.5,), THETA_RANGE),
+    "family_witness-args17": (family_witness, (0.3, math.inf, 0.2), P_RANGE),
+    "family_witness-args18": (family_witness, (0.3, math.nan, 0.2), P_RANGE),
+    "family_witness-args19": (family_witness, (0.3, 1.5, math.nan), THETA_RANGE),
+    "family_witness-args20": (family_witness, (0.3, 1.5, -0.1), THETA_RANGE),
+    "family_witness-args21": (family_witness, (0.3, 0.9, 0.2), P_RANGE),
+    "family_witness-args22": (
+        family_witness, (math.nan, 1.5, 0.2), "family parameter must lie in"
+    ),
+    "delta-args23": (family_witness, (0.3, -math.inf, 0.2), P_RANGE),
+    "delta-args24": (family_witness, (0.3, 1.5, math.inf), THETA_RANGE),
+    "alpha-args25": (alpha, (0.5, 0.2), P_RANGE),
+    "alpha-args26": (alpha, (1.5, -math.inf), THETA_RANGE),
+    "alpha1-args27": (alpha1, (-0.1,), THETA_RANGE),
+    "family_value-args28": (family_witness, (0.3, 0.9, 0.2), P_RANGE),
 }
 
 
-@pytest.mark.parametrize(
-    "fn, args, message",
-    REFUSED.values(),
-    ids=[f"{fn.__name__}-args{i}" for i, (fn, _, _) in REFUSED.items()],
-)
+@pytest.mark.parametrize("fn, args, message", REFUSED.values(), ids=list(REFUSED))
 def test_family_functions_refuse_non_finite_or_out_of_range(fn, args, message):
     with pytest.raises(ValueError, match=message):
         fn(*args)
