@@ -70,6 +70,12 @@ def _check_c(c: float):
         raise ValueError(f"family parameter must lie in (0, 1) with (1-c)/c finite, got {c}")
 
 
+def _check_family_p(p: float):
+    # The p rule of both family scans, _family_row and family_max.
+    if not (1.0 <= p < 2.0):
+        raise ValueError(f"the family certifies norms for p in [1, 2), got {p}")
+
+
 def qubit_state(c: float) -> State:
     """diag(1-c, c) as a faithful state on M_2."""
     _check_c(c)
@@ -126,8 +132,18 @@ def _family_value(c: float, p: float, d: float, a: float, b: float) -> float:
     """Norm of the embedded action on the witness a E_12 + b E_21, with no
     checks: ((c(1-c))^(p/2) ((a + b/d)^p + (a d + b)^p))^(1/p) with
     d = ``_delta(c, p, theta)``; a certified lower bound for the induced norm
-    when a^p + b^p = 1."""
-    base = (c * (1.0 - c)) ** (p / 2.0) * ((a + b / d) ** p + (a * d + b) ** p)
+    when a^p + b^p = 1.
+
+    Where a p-th power overflows though m is finite (c near its smallest
+    accepted value, p just above 1), the larger of a + b/d and a d + b is
+    factored out; every other cell takes the direct form.
+    """
+    u, v = a + b / d, a * d + b
+    try:
+        base = (c * (1.0 - c)) ** (p / 2.0) * (u**p + v**p)
+    except OverflowError:
+        top = max(u, v)
+        return math.sqrt(c * (1.0 - c)) * top * ((u / top) ** p + (v / top) ** p) ** (1.0 / p)
     return float(base ** (1.0 / p))
 
 
@@ -222,6 +238,22 @@ def _log_m_pow_p(c, p: float, slope):
     return _log_pow_p(np.log(one_minus_c / c), np.log(c * one_minus_c), p, slope)
 
 
+def _float_log_m_pow_p(c: float, p: float, slope: float) -> float:
+    """``_log_m_pow_p(c, p, slope)`` for one float c, bitwise: its operations
+    in the same order on Python floats, with numpy's own ``np.log`` (whose
+    SIMD rounding ``math.log`` does not always share), ``_logaddexp0`` for
+    ``np.logaddexp(x, 0.0)`` and numpy's ``np.log1p(np.exp(.))`` at p = 1.
+    A numpy call on a 1-element array costs several times these float steps.
+    """
+    one_minus_c = 1.0 - c
+    log_d = slope * float(np.log(one_minus_c / c))
+    log_cc = float(np.log(c * one_minus_c))
+    if p == 1.0:
+        return 0.5 * log_cc + float(np.log1p(np.exp(log_d)))
+    q = p / (p - 1.0)
+    return (p / 2.0) * log_cc + _logaddexp0(-p * log_d) + (p - 1.0) * _logaddexp0(q * log_d)
+
+
 def alpha(p: float, theta: float) -> float:
     """Quadratic coefficient 2((2 theta - 1)^2 q - p) of t -> m^p at c = 1/2 + t."""
     _check_p_theta(p, theta)
@@ -288,9 +320,10 @@ def _family_row(
     golden-section refinement around that cell down to ``REFINE_TOL`` in t.
     All thetas advance through the refinement as one stack; each one stops at
     its own width, so its witness is bitwise the one it gets alone.
+    ``family_max`` runs the same refinement on floats for one theta, and the
+    tests hold the two equal bit for bit on every benchmark row.
     """
-    if not (1.0 <= p < 2.0):
-        raise ValueError(f"the family certifies norms for p in [1, 2), got {p}")
+    _check_family_p(p)
     for theta in thetas:
         _check_theta(theta)
     slope = (2.0 * np.array(thetas, dtype=float) - 1.0) / p
@@ -334,10 +367,40 @@ def _family_row(
 
 
 def family_max(p: float, theta: float) -> QubitWitness:
-    """The maximizing family member at one (p, theta): ``_family_row`` at a
-    single theta."""
-    (c,), (w,) = _family_row(p, [theta])
-    return QubitWitness(c, *w)
+    """The maximizing family member at one (p, theta), bitwise what
+    ``_family_row(p, [theta])`` gives, which the tests check on every
+    benchmark cell.
+
+    The same grid argmax, then the same golden-section refinement on Python
+    floats: the stacked loop's brackets, its stop rule (width > REFINE_TOL
+    after each move) and its grid-wins rule, with ``_float_log_m_pow_p`` as
+    the objective.  One theta through the stacked loop would make some 30
+    numpy calls on 1-element arrays per step.
+    """
+    _check_family_p(p)
+    _check_theta(theta)
+    slope = (2.0 * theta - 1.0) / p
+    (i,), (f_grid,) = _grid_argmax(p, np.array([slope]))
+    lo, hi = float(_TS[max(i - 1, 0)]), float(_TS[min(i + 1, GRID_POINTS - 1)])
+    width = hi - lo
+    x1, x2 = hi - _INV_PHI * width, lo + _INV_PHI * width
+    f1, f2 = _float_log_m_pow_p(0.5 + x1, p, slope), _float_log_m_pow_p(0.5 + x2, p, slope)
+    while width > REFINE_TOL:
+        if f1 >= f2:
+            hi, x2, f2 = x2, x1, f1
+            width = hi - lo
+            x1 = hi - _INV_PHI * width
+            f1 = _float_log_m_pow_p(0.5 + x1, p, slope)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            width = hi - lo
+            x2 = lo + _INV_PHI * width
+            f2 = _float_log_m_pow_p(0.5 + x2, p, slope)
+    t_best, f_best = (x1, f1) if f1 >= f2 else (x2, f2)
+    if f_grid > f_best:
+        t_best = float(_TS[i])
+    c = 0.5 + t_best
+    return QubitWitness(c, *_witness(c, p, theta))
 
 
 def find_counterexample(p: float, theta: float, tol: float) -> QubitWitness | None:

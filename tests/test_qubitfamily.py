@@ -19,6 +19,7 @@ from nclp.qubitfamily import (
     _SCREEN_WINDOW,
     _delta,
     _family_row,
+    _float_log_m_pow_p,
     _grid_argmax,
     _log_m_pow_p,
     _log_pow_p,
@@ -72,11 +73,25 @@ def test_family_refuses_c_whose_ratio_overflows(c):
 @pytest.mark.parametrize("c", [5.56268464626801e-309, 1.0 - 2.0**-53])
 def test_family_witness_is_defined_at_the_c_edges(c):
     # the smallest c whose (1-c)/c is finite, and the largest c below 1
-    for p in (1.0, 1.5):
+    for p in (1.0, math.nextafter(1.0, 2.0), 1.5):
         for theta in (0.0, 0.5, 1.0):
             assert 0.0 < _delta(c, p, theta) < math.inf, (p, theta)
             w = family_witness(c, p, theta)
-            assert w.c == c and not math.isnan(w.m_value), (p, theta)
+            assert w.c == c and math.isfinite(w.m_value), (p, theta)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_family_value_is_finite_where_its_pth_power_overflows(theta):
+    # (a + b/d)^p or (a d + b)^p exceeds the float range here, m does not.
+    # The oracle takes the kernel's own d: exp(+-709.78 / p) carries the
+    # rounding of its argument, about 1e-13 relative, into d.
+    mpmath = pytest.importorskip("mpmath")
+    c, p = 5.56268464626801e-309, math.nextafter(1.0, 2.0)
+    w = family_witness(c, p, theta)
+    with mpmath.workdps(40):
+        c_, p_, d, a, b = (mpmath.mpf(x) for x in (c, p, _delta(c, p, theta), w.a, w.b))
+        m = mpmath.sqrt(c_ * (1 - c_)) * ((a + b / d) ** p_ + (a * d + b) ** p_) ** (1 / p_)
+        assert abs(w.m_value - m) <= 1e-14 * m, (w.m_value, m)
 
 
 def test_qubit_map_unital_cp_state_preserving():
@@ -137,6 +152,8 @@ def test_family_value_p1_endpoint_witnesses():
 
 P_RANGE = r"p must lie in \[1, inf\), got"
 THETA_RANGE = r"theta must lie in \[0, 1\], got"
+# family_max and _family_row share this p check.
+FAMILY_P_RANGE = r"the family certifies norms for p in \[1, 2\), got"
 # Each case with the one message it must raise, keyed by its id; a new case
 # takes the next number, and a removed case's number is not reused.  The
 # "delta" and "family_value" rows are the refusals of the checked delta and
@@ -165,6 +182,13 @@ REFUSED = {
     "alpha-args26": (alpha, (1.5, -math.inf), THETA_RANGE),
     "alpha1-args27": (alpha1, (-0.1,), THETA_RANGE),
     "family_value-args28": (family_witness, (0.3, 0.9, 0.2), P_RANGE),
+    "family_max-args29": (family_max, (2.0, 0.2), FAMILY_P_RANGE),
+    "family_max-args30": (family_max, (0.9, 0.2), FAMILY_P_RANGE),
+    "family_max-args31": (family_max, (math.nan, 0.2), FAMILY_P_RANGE),
+    "family_max-args32": (family_max, (math.inf, 0.2), FAMILY_P_RANGE),
+    "family_max-args33": (family_max, (1.5, math.nan), THETA_RANGE),
+    "family_max-args34": (family_max, (1.5, -0.1), THETA_RANGE),
+    "family_max-args35": (family_max, (1.5, 1.5), THETA_RANGE),
 }
 
 
@@ -220,7 +244,13 @@ def _numpy_family_witness(c, p, theta):
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
     d = math.exp((2.0 * theta - 1.0) / p * math.log((1.0 - c) / c))
     a, b = _numpy_optimal_ab(d, p) if p > 1.0 else (1.0, 0.0)
-    m = ((c * (1.0 - c)) ** (p / 2.0) * ((a + b / d) ** p + (a * d + b) ** p)) ** (1.0 / p)
+    u, v = a + b / d, a * d + b
+    try:
+        m = ((c * (1.0 - c)) ** (p / 2.0) * (u**p + v**p)) ** (1.0 / p)
+    except OverflowError:
+        # a p-th power overflows though m is finite: factor out max(u, v)
+        top = max(u, v)
+        m = math.sqrt(c * (1.0 - c)) * top * ((u / top) ** p + (v / top) ** p) ** (1.0 / p)
     return c, a, b, m
 
 
@@ -318,6 +348,20 @@ def test_alpha_rejects_p1_and_alpha1_covers_it():
 # counterexample scan
 
 
+def test_float_objective_is_the_numpy_objective_bitwise():
+    # the one-theta refinement's objective against the stacked loop's, on
+    # whole arrays of c as the stack evaluates them
+    rng = np.random.default_rng(25)
+    cs = 0.5 + rng.uniform(-0.5 + 1e-3, 0.5 - 1e-3, 20_000)
+    cs = np.concatenate((cs, [1e-3, 0.5, 1.0 - 1e-3, 1e-12, 1.0 - 2.0**-53]))
+    for p in (1.0, math.nextafter(1.0, 2.0), 1.37, 1.999999):
+        for slope in (-1.0 / p, -0.3, 0.0, 0.7 / p, 1.0 / p):
+            want = _log_m_pow_p(cs, p, slope).tolist()
+            got = [_float_log_m_pow_p(c, p, slope) for c in cs.tolist()]
+            differ = [c for c, x, y in zip(cs.tolist(), got, want) if x.hex() != y.hex()]
+            assert not differ, (p, slope, differ[:5])
+
+
 def test_witness_invariants():
     p, theta = 1.5, 0.05
     w = family_max(p, theta)
@@ -360,6 +404,12 @@ def test_family_max_bits_alone_and_stacked():
         thetas = [theta for q, theta in FAMILY_MAX_BITS if q == p]
         got = [_bits(QubitWitness(c, *w)) for c, w in zip(*_family_row(p, thetas))]
         assert got == [FAMILY_MAX_BITS[p, theta] for theta in thetas], p
+    # family_max's float refinement against the stacked loop on every cell
+    # of the argmax cases, the 100 benchmark rows among them
+    for p, thetas in _argmax_cases():
+        stacked = [_bits(QubitWitness(c, *w)) for c, w in zip(*_family_row(p, thetas))]
+        alone = [_bits(family_max(p, theta)) for theta in thetas]
+        assert alone == stacked, (p, thetas)
 
 
 def _full_scan(p, slope):
