@@ -19,6 +19,7 @@ quadratic-coefficient checks against ``alpha`` apply the p-th power first.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -100,6 +101,9 @@ def _delta(c: float, p: float, theta: float) -> float:
     return math.exp((2.0 * theta - 1.0) / p * math.log((1.0 - c) / c))
 
 
+# The smallest normal float: below it m^p has lost digits or is 0.
+_FLOAT_MIN = sys.float_info.min
+
 # np.logaddexp(0.0, 0.0): numpy returns x + its LOGE2 when x equals the other argument.
 _LOG2 = math.log(2.0)
 
@@ -135,16 +139,21 @@ def _family_value(c: float, p: float, d: float, a: float, b: float) -> float:
     when a^p + b^p = 1.
 
     Where a p-th power overflows though m is finite (c near its smallest
-    accepted value, p just above 1), the larger of a + b/d and a d + b is
-    factored out; every other cell takes the direct form.
+    accepted value, p just above 1), or where the p-th power of m is 0 or
+    subnormal (c tiny and p large), the larger of a + b/d and a d + b is
+    factored out; every other cell takes the direct form.  No family scan
+    reaches the subnormal case: at c >= T_MARGIN and p < 2 the product is
+    about 1e-3 or more, since u^p + v^p >= a^p + b^p = 1.
     """
     u, v = a + b / d, a * d + b
     try:
         base = (c * (1.0 - c)) ** (p / 2.0) * (u**p + v**p)
+        if base >= _FLOAT_MIN:
+            return float(base ** (1.0 / p))
     except OverflowError:
-        top = max(u, v)
-        return math.sqrt(c * (1.0 - c)) * top * ((u / top) ** p + (v / top) ** p) ** (1.0 / p)
-    return float(base ** (1.0 / p))
+        pass
+    top = max(u, v)
+    return math.sqrt(c * (1.0 - c)) * top * ((u / top) ** p + (v / top) ** p) ** (1.0 / p)
 
 
 def _log_pow_p(log_ratio, log_cc, p: float, slope):

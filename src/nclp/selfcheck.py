@@ -358,15 +358,21 @@ def check_monotone_ascent(seed: int) -> CheckResult:
     return CheckResult("normest.monotone_ascent", worst <= 1e-12, f"max drop {worst:.2e}")
 
 
+# Thm 4.1 at every theta for p >= 2, and the theta = 1/2 bound below p = 2
+_SOUNDNESS_CELLS = [(p, th) for p in (2.0, 2.5, 3.0, 5.0) for th in (0.0, 0.3, 0.7, 1.0)]
+_SOUNDNESS_CELLS += [(1.0, 0.5), (1.3, 0.5), (1.7, 0.5)]
+
+
 def check_soundness_vs_upper_bound(seed: int) -> CheckResult:
     rng = _rng(seed, 16)
     worst = -math.inf
+    cases = 0
     for n in (2, 3):
         for _ in range(2):
             t = _random_cp_map(rng, n)
             state = _random_state(rng, n)
             rep = compatibility(t, state)
-            for p, theta in ((2.0, 0.0), (2.0, 0.7), (3.0, 1.0), (1.3, 0.5), (1.7, 0.5)):
+            for p, theta in _SOUNDNESS_CELLS:
                 bound = upper_bound(rep, p, classify_region(p, theta))
                 if bound is None:
                     detail = f"no bound at p={p}, theta={theta}"
@@ -374,7 +380,12 @@ def check_soundness_vs_upper_bound(seed: int) -> CheckResult:
                 emap = build_embedded(t, state, p, theta)
                 est = estimate_norm(emap.u_action, p, restarts=4, seed=seed).value
                 worst = max(worst, est - bound)
-    return CheckResult("normest.soundness_vs_upper_bound", worst <= 1e-8, f"max excess {worst:.2e}")
+                cases += 1
+    return CheckResult(
+        "normest.soundness_vs_upper_bound",
+        worst <= 1e-8,
+        f"max excess {worst:.2e} over {cases} cases",
+    )
 
 
 def check_determinism(seed: int) -> CheckResult:

@@ -192,13 +192,15 @@ def test_phase_diagram_rejects_seed_flag():
 
 
 def test_phase_diagram_rejects_bad_range(capsys):
-    # the last two grids are too large to build: 1e300 and overflowing cell counts
-    for p_min, p_max, p_step in (
-        ("3", "2", "1"), ("1", "inf", "1"), ("1", "2", "1e-300"), ("1", "2", "5e-324"),
+    # the 1e-300 and 5e-324 grids are too large to build: 1e300 and
+    # overflowing cell counts
+    for p_min, p_max, p_step, theta_step in (
+        ("3", "2", "1", "0.5"), ("1", "inf", "1", "0.5"), ("1", "2", "1e-300", "0.5"),
+        ("1", "2", "5e-324", "0.5"), ("1", "2", "1", "0"), ("1", "2", "-0.5", "0.5"),
     ):
         code = cli.main(
             ["phase-diagram", "--p-min", p_min, "--p-max", p_max,
-             "--p-step", p_step, "--theta-step", "0.5"]
+             "--p-step", p_step, "--theta-step", theta_step]
         )
         assert code == cli.EXIT_INVALID_INPUT
         assert "error" in capsys.readouterr().err
@@ -368,6 +370,10 @@ def test_norm_rejects_boolean_entries(tmp_path, capsys):
 def test_norm_rejects_state_dim_mismatch(tmp_path, capsys):
     state = {"dim": 5, "data": QUBIT_STATE_06["data"]}
     code, _ = run_norm(tmp_path, QUBIT_MAP_06, state, ["--p", "2", "--theta", "0"])
+    assert_refused(code, capsys)
+    # a bare 2x3 matrix, with no dim to compare against
+    bare = [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]
+    code, _ = run_norm(tmp_path, QUBIT_MAP_06, bare, ["--p", "2", "--theta", "0"])
     assert_refused(code, capsys)
 
 

@@ -55,6 +55,12 @@ def test_apply_dimension_mismatch():
     t = SuperOperator.identity(2)
     with pytest.raises(ValueError):
         t(np.eye(3))
+    with pytest.raises(ValueError, match="action matrix must be n\\^2 x n\\^2"):
+        SuperOperator(np.eye(3))
+    with pytest.raises(ValueError, match="Choi matrix must be n\\^2 x n\\^2"):
+        SuperOperator.from_choi(np.eye(3))
+    with pytest.raises(ValueError, match="dimension mismatch: map 2, state 3"):
+        compatibility(t, State.from_matrix(np.eye(3) / 3))
 
 
 def test_from_kraus_refuses_no_operators():
@@ -344,6 +350,8 @@ def test_state_accepts_qubit_family():
 def test_state_rejects_asymmetric():
     with pytest.raises(ValueError, match="not Hermitian"):
         State.from_matrix(np.array([[0.5, 1e-3], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="must be square"):
+        State.from_matrix([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]])
 
 
 def test_state_repairs_tiny_asymmetry():

@@ -42,6 +42,10 @@ def test_schatten_norm_rejects_bad_input():
     x = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         schatten_norm(x, 0.5)
+    with pytest.raises(ValueError, match="p >= 1"):
+        dual_element(x, 0.5)
+    with pytest.raises(ValueError, match="expected a 2-D matrix"):
+        schatten_norm(np.ones(2), 2.0)
     with pytest.raises(ValueError):
         schatten_norm(np.array([[np.nan, 0], [0, 1]]), 2.0)
     with pytest.raises(ValueError):

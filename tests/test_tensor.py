@@ -165,6 +165,11 @@ def test_steps_to_exceed():
     # overflow-safe for values that leave the float range quickly
     assert steps_to_exceed(1e200, 10.0) == 1
     assert steps_to_exceed(1e200, 1e300) == 2
+    # the float confirm moves the log-ratio guess both ways: ceil(log 100 /
+    # log 10) = 2, but 10^2 is not above 100; ceil(log 10 / log 10^(1/7)) = 8,
+    # but the 7th power already is
+    assert steps_to_exceed(10.0, 100.0) == 3
+    assert steps_to_exceed(10.0 ** (1 / 7), 10.0) == 7
     # closed form far past any loop budget, confirmed at n - 1 and n
     per_factor = 1.0000001
     n = steps_to_exceed(per_factor, 1e9)
