@@ -112,12 +112,24 @@ class SuperOperator:
     __slots__ = ("dim", "action_matrix")
 
     def __init__(self, action_matrix):
+        self._hold(action_matrix, copy=True)
+
+    @classmethod
+    def _adopt(cls, action_matrix: np.ndarray) -> "SuperOperator":
+        """Wrap an array the package has just built and holds nowhere else,
+        with every check of the constructor but without its copy."""
+        op = cls.__new__(cls)
+        op._hold(action_matrix, copy=False)
+        return op
+
+    def _hold(self, action_matrix, copy: bool) -> None:
         m = _as_matrix(action_matrix)
         n2 = m.shape[0]
         n = math.isqrt(n2)
         if m.shape != (n2, n2) or n * n != n2:
             raise ValueError(f"action matrix must be n^2 x n^2, got {m.shape}")
-        m = m.copy()
+        if copy or not m.flags.c_contiguous:  # narrowed complex input is a strided view
+            m = m.copy()
         m.setflags(write=False)
         self.dim = n
         self.action_matrix = m

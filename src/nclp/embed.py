@@ -81,6 +81,12 @@ def build_embedded(
     action matrix K of T, reshaped to (n, n, n^2), takes A and B on its row
     side and Ai, Bi on its column side as four n-point contractions: O(n^5)
     work, where the product (B^T kron A) K (Bi^T kron Ai) costs O(n^6).
+
+    Each contraction is one batched product of n x n factors over a
+    contiguous (., n, n) stack, written into one of two buffers, the last of
+    which becomes the result without a copy.  A single n x n^3 product would
+    be one large BLAS call, which OpenBLAS threads and which faults in fresh
+    pages for its result; the batched form is faster at the family's n = 16.
     """
     _check_p_theta(p, theta)
     if base.dim != state.dim:
@@ -90,10 +96,13 @@ def build_embedded(
     ai = state.power(-(1.0 - theta) / p)
     bi = state.power(-theta / p)
     n = base.dim
-    x = a @ base.action_matrix.reshape(n, n, n * n)
-    x = (b.T @ x.reshape(n, n**3)).reshape(n**3, n) @ ai
-    action = (bi @ x.reshape(n * n, n, n)).reshape(n * n, n * n)
-    return EmbeddedMap(p=p, u_action=SuperOperator(action))
+    x = np.matmul(a, base.action_matrix.reshape(n, n, n * n))  # axes (l, k, c); A on k, per l
+    y = np.empty_like(x)
+    np.matmul(b.T, x.transpose(1, 0, 2), out=y.transpose(1, 0, 2))  # B^T on l, per k
+    x, y = x.reshape(n * n, n, n), y.reshape(n * n, n, n)  # each row's (j, i) slab
+    np.matmul(y, ai, out=x)  # Ai on i
+    np.matmul(bi, x, out=y)  # Bi on j
+    return EmbeddedMap(p=p, u_action=SuperOperator._adopt(y.reshape(n * n, n * n)))
 
 
 def exact_norm_p2(emap: EmbeddedMap) -> float:

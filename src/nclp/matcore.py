@@ -61,8 +61,11 @@ def _diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
     linked = m != 0
     if linked.all():  # the common dense case needs no labelling
         return [m[None]]
-    # On a 2-D mask np.nonzero costs several times np.flatnonzero.
-    i, j = np.divmod(np.flatnonzero(linked | linked.T), m.shape[0])
+    # On a 2-D mask np.nonzero costs several times np.flatnonzero.  Each
+    # entry links both ways, so the edges are (i, j) and (j, i): cheaper
+    # than reading the mask again through a strided transpose.
+    i, j = np.divmod(np.flatnonzero(linked), m.shape[0])
+    i, j = np.concatenate((i, j)), np.concatenate((j, i))
     label = np.arange(m.shape[0])
     while True:
         hooked = label.copy()

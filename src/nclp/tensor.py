@@ -37,7 +37,7 @@ def kron_superop(s1: SuperOperator, s2: SuperOperator) -> SuperOperator:
     action = (
         k1[:, None, :, None, :, None, :, None] * k2[None, :, None, :, None, :, None, :]
     ).reshape(n * n, n * n)
-    return SuperOperator(action)
+    return SuperOperator._adopt(action)
 
 
 def kron_state(s1: State, s2: State) -> State:

@@ -51,6 +51,16 @@ def test_qubit_map_on_matrix_units():
     assert np.abs(t(E21) - s * (E12 + E21)).max() < 1e-14
 
 
+def test_constructor_copies_the_callers_array():
+    x = _ginibre(np.random.default_rng(20240820), 4)
+    kept = x.copy()
+    t = SuperOperator(x)
+    assert x.flags.writeable
+    x[:] = 0.0
+    assert np.array_equal(t.action_matrix, kept)
+    assert not t.action_matrix.flags.writeable
+
+
 def test_apply_dimension_mismatch():
     t = SuperOperator.identity(2)
     with pytest.raises(ValueError):

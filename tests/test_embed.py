@@ -16,6 +16,7 @@ from nclp.embed import (
 )
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre, _random_state
+from nclp.tensor import kron_state, kron_superop
 
 RNG = np.random.default_rng(20240813)
 
@@ -42,6 +43,22 @@ def test_qubit_antidiagonal_action(p, theta):
     assert np.abs(emap.u_action(E21) - s * (E12 / d + E21)).max() < 1e-12
 
 
+def _assert_sandwich_on_units(t, state, p, theta, units):
+    """build_embedded's action on each matrix unit E_ij, (i, j) in ``units``,
+    against the direct A T(Ai E_ij Bi) B."""
+    n = t.dim
+    emap = build_embedded(t, state, p, theta)
+    a = state.power((1 - theta) / p)
+    b = state.power(theta / p)
+    ai = state.power(-(1 - theta) / p)
+    bi = state.power(-theta / p)
+    for i, j in units:
+        e = np.zeros((n, n), dtype=complex)
+        e[i, j] = 1.0
+        direct = a @ t(ai @ e @ bi) @ b
+        assert np.abs(emap.u_action(e) - direct).max() <= 1e-10
+
+
 @pytest.mark.parametrize("p", [1.0, 1.4, 2.0])
 @pytest.mark.parametrize("theta", [0.0, 0.7, 1.0])
 @pytest.mark.parametrize("n", [2, 3, 5])
@@ -49,17 +66,46 @@ def test_embedded_action_matches_direct_sandwich_on_units(n, theta, p):
     rng = np.random.default_rng([20240813, n])
     t = SuperOperator(_ginibre(rng, n * n))
     state = _random_state(rng, n)
-    emap = build_embedded(t, state, p, theta)
-    a = state.power((1 - theta) / p)
-    b = state.power(theta / p)
-    ai = state.power(-(1 - theta) / p)
-    bi = state.power(-theta / p)
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            direct = a @ t(ai @ e @ bi) @ b
-            assert np.abs(emap.u_action(e) - direct).max() <= 1e-10
+    _assert_sandwich_on_units(t, state, p, theta, np.ndindex(n, n))
+
+
+# one family member per tensor factor, so the product is no plain power
+FACTOR_C = (0.3, 0.6, 0.45, 0.8)
+
+
+def _family_product(k):
+    t, state = qubit_map(FACTOR_C[0]), qubit_state(FACTOR_C[0])
+    for c in FACTOR_C[1:k]:
+        t, state = kron_superop(t, qubit_map(c)), kron_state(state, qubit_state(c))
+    return t, state
+
+
+@pytest.mark.parametrize("p,theta", [(1.0, 0.0), (1.3, 0.9), (2.0, 0.7)])
+@pytest.mark.parametrize("k", [2, 3])
+def test_embedded_action_matches_direct_sandwich_on_family_powers(k, p, theta):
+    # the shapes tensor-power runs: real maps with diagonal product states,
+    # n = 4 and 8 on every unit
+    t, state = _family_product(k)
+    assert t.action_matrix.dtype == float and state.matrix.dtype == float
+    _assert_sandwich_on_units(t, state, p, theta, np.ndindex(t.dim, t.dim))
+
+
+def test_embedded_action_matches_direct_sandwich_at_n16():
+    t, state = _family_product(4)
+    units = [(0, 0), (0, 15), (15, 0), (5, 10), (6, 9), (15, 15)]
+    _assert_sandwich_on_units(t, state, 1.2, 0.05, units)
+
+
+def test_embedded_action_is_a_fresh_read_only_array():
+    rng = np.random.default_rng([20240813, 7])
+    t = SuperOperator(_ginibre(rng, 9))
+    state = _random_state(rng, 3)
+    u = build_embedded(t, state, 1.5, 0.3).u_action.action_matrix
+    assert not u.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        u[0, 0] = 0.0
+    for held in (t.action_matrix, state.matrix, state.eigenvalues, state.eigenvectors):
+        assert not np.shares_memory(u, held)
 
 
 P_RANGE = r"p must lie in \[1, inf\), got"

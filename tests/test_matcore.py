@@ -185,6 +185,40 @@ def test_diagonal_blocks_match_an_independent_labelling():
         assert not m[~inside].any() and not m.T[~inside].any()
 
 
+def _reachable(m, start):
+    """Indices joined to ``start`` by a chain of entries nonzero on either
+    side of the diagonal, by a breadth-first search."""
+    seen, queue = {start}, [start]
+    for i in queue:
+        for j in np.flatnonzero((m[i] != 0) | (m[:, i] != 0)):
+            if int(j) not in seen:
+                seen.add(int(j))
+                queue.append(int(j))
+    return sorted(seen)
+
+
+def test_diagonal_blocks_link_one_sided_entries():
+    # every entry is one-sided (m[i, j] != 0 and m[j, i] == 0): chains that
+    # run up, down and both ways through a random permutation
+    rng = np.random.default_rng(20261020)
+    for n in (2, 5, 17, 40):
+        m = np.zeros((n, n))
+        for lo in range(0, n, 4):  # blocks of 4 indices, each joined by one path
+            for i in range(lo, min(lo + 4, n) - 1):
+                if rng.random() < 0.5:
+                    m[i, i + 1] = 1.0
+                else:
+                    m[i + 1, i] = 1.0
+        perm = rng.permutation(n)
+        m = m[np.ix_(perm, perm)]
+        assert not (m.astype(bool) & m.T.astype(bool)).any()
+        blocks = {tuple(_reachable(m, i)) for i in range(n)}
+        tagged = m + np.diag(np.arange(1.0, n + 1.0))
+        stacks = _diagonal_blocks(tagged)
+        found = [tuple(np.diagonal(b).astype(int) - 1) for st in stacks for b in st]
+        assert sorted(found) == sorted(blocks)
+
+
 def test_schatten_norm_large_p_no_overflow():
     x = np.diag([2.0, 1.0]).astype(complex)
     assert schatten_norm(x, 800.0) == pytest.approx(2.0, rel=1e-10)

@@ -54,6 +54,30 @@ def test_kron_dimension_guard():
     assert kron_superop(SuperOperator.identity(4), SuperOperator.identity(4)).dim == 16
 
 
+def test_kron_is_a_fresh_read_only_array():
+    rng = np.random.default_rng(20240821)
+    s1 = SuperOperator(_ginibre(rng, 4))
+    s2 = SuperOperator(rng.standard_normal((9, 9)))
+    big = kron_superop(s1, s2).action_matrix
+    assert not big.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        big[0, 0] = 0.0
+    assert not np.shares_memory(big, s1.action_matrix)
+    assert not np.shares_memory(big, s2.action_matrix)
+    # a complex product that comes out exactly real is narrowed and still
+    # held as one contiguous float array
+    i4 = SuperOperator(1j * np.eye(4))
+    real = kron_superop(i4, i4).action_matrix
+    assert real.dtype == float and real.flags.c_contiguous
+
+
+def test_kron_that_overflows_is_refused():
+    s = SuperOperator(np.full((4, 4), 1e200))
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            kron_superop(s, s)
+
+
 def test_embedding_factorizes_over_kron():
     # embedded map of a product equals the product of embedded maps
     rng = np.random.default_rng(1)
