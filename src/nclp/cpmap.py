@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import _as_matrix, _diagonal_blocks, _hermitian_part, schatten_norm
+from .matcore import _as_matrix, _block_indices, _hermitian_part, schatten_norm
 
 CP_TOL = 1e-10
 UNITAL_TOL = 1e-10
@@ -207,13 +207,29 @@ def is_completely_positive(t: SuperOperator) -> bool:
     the test can pass, so it certifies no map that the eigenvalue rule
     lambda_min >= -CP_TOL * max(1, lambda_max) refuses.
 
-    Both tests run on each of C's diagonal blocks (``_diagonal_blocks``),
-    with the scale of the whole C: entries between blocks are zero in both
-    C and C^*, so this is the same test as on the whole matrix.
+    Both tests run on each of C's diagonal blocks (``_block_indices`` of
+    C's support), with the scale of the whole C: entries between blocks are
+    zero in both C and C^*, so this is the same test as on the whole matrix,
+    and the largest |C_ij| lies in a block.  The blocks are gathered straight
+    from the action matrix K, since C[i*n + k, j*n + l] = K[k + n*l, i + n*j],
+    so C is never built unless it does not split.
     """
-    c = t.choi
-    scale = max(1.0, np.abs(c).max())
-    for b in _diagonal_blocks(c):
+    linked = t.action_matrix != 0
+    # a dense K has a dense C, which needs no reshuffled mask
+    stacks = None if linked.all() else _block_indices(_reshuffle(linked, t.dim))
+    if stacks is None:
+        c = t.choi
+        scale = max(1.0, np.abs(c).max())
+        blocks = [c[None]]
+    else:
+        n = t.dim
+        # C[i*n + k, j*n + l] is entry r[i*n + k] + n * r[j*n + l] of K's
+        # flat buffer, where r[i*n + k] = k*n^2 + i
+        r = (np.arange(n) * (n * n) + np.arange(n)[:, None]).reshape(-1)
+        flat = t.action_matrix.reshape(-1)
+        blocks = [flat[r[idx][:, :, None] + n * r[idx][:, None, :]] for idx in stacks]
+        scale = max(1.0, *(np.abs(b).max() for b in blocks))
+    for b in blocks:
         if np.abs(b - b.conj().swapaxes(-1, -2)).max() > CP_TOL * scale:
             return False
         h = _hermitian_part(b) / scale

@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from .cpmap import CompatibilityReport, State, SuperOperator
-from .matcore import _diagonal_blocks
+from .matcore import _block_indices
 
 
 class Status(Enum):
@@ -112,7 +112,9 @@ def exact_norm_p2(emap: EmbeddedMap) -> float:
     splits into 2^k blocks of size 2^k."""
     if emap.p != 2.0:
         raise ValueError(f"exact norm only available at p = 2, got p = {emap.p}")
-    blocks = _diagonal_blocks(emap.u_action.action_matrix)
+    m = emap.u_action.action_matrix
+    stacks = _block_indices(m != 0)
+    blocks = [m[None]] if stacks is None else [m[i[:, :, None], i[:, None, :]] for i in stacks]
     return max(float(np.linalg.svd(b, compute_uv=False)[:, 0].max()) for b in blocks)
 
 

@@ -44,45 +44,47 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return m / 2.0 + m.conj().swapaxes(-1, -2) / 2.0
 
 
-def _diagonal_blocks(m: np.ndarray) -> list[np.ndarray]:
-    """The diagonal blocks of a square matrix under the permutation that
-    makes it block diagonal, as one (k, s, s) stack per block size s; only
-    ``embed.exact_norm_p2`` and the CP test factor per block.
+def _block_indices(linked: np.ndarray) -> list[np.ndarray] | None:
+    """The blocks of a square matrix whose entries are nonzero where the bool
+    mask ``linked`` is set, under the permutation that makes the matrix block
+    diagonal: one (k, s) stack of index rows per block size s, or None when
+    the matrix does not split.  Only ``embed.exact_norm_p2`` and the CP test
+    factor per block, each gathering its blocks from its own array.
 
     Indices i and j share a block when a chain of entries with
-    ``m[i, j] != 0`` or ``m[j, i] != 0`` joins them, so only exact zeros
+    ``linked[i, j]`` or ``linked[j, i]`` joins them, so only exact zeros
     split and every entry outside the blocks is zero, as is its mirror.
-    Each block keeps its indices in ascending order, so a matrix that does
-    not split comes back whole.  Each index starts labelled by itself; each
-    round hooks every label onto the least label linked to it and follows
-    labels to their fixed point, and a round that changes nothing leaves
-    each block labelled by its least index.
+    Each row lists a block's indices in ascending order.  Each index starts
+    labelled by itself; each round hooks every label onto the least label
+    linked to it and follows labels to their fixed point, and a round that
+    changes nothing leaves each block labelled by its least index.
     """
-    linked = m != 0
+    n = linked.shape[0]
     if linked.all():  # the common dense case needs no labelling
-        return [m[None]]
+        return None
     # On a 2-D mask np.nonzero costs several times np.flatnonzero.  Each
     # entry links both ways, so the edges are (i, j) and (j, i): cheaper
     # than reading the mask again through a strided transpose.
-    i, j = np.divmod(np.flatnonzero(linked), m.shape[0])
+    i, j = np.divmod(np.flatnonzero(linked), n)
     i, j = np.concatenate((i, j)), np.concatenate((j, i))
-    label = np.arange(m.shape[0])
+    # labels are compared by their bytes: for index arrays of one length
+    # that is np.array_equal without its call overhead, several times the
+    # cost of a round's other steps on small matrices
+    label = np.arange(n)
     while True:
         hooked = label.copy()
         np.minimum.at(hooked, label[i], label[j])
         jumped = hooked[hooked]
-        while not np.array_equal(jumped, hooked):
+        while jumped.tobytes() != hooked.tobytes():
             hooked, jumped = jumped, jumped[jumped]
-        if np.array_equal(hooked, label):
+        if hooked.tobytes() == label.tobytes():
             break
         label = hooked
     order = np.argsort(label, kind="stable")
     size = np.bincount(label)[label[order]]
-    stacks = []
-    for s in np.flatnonzero(np.bincount(size)):
-        idx = order[size == s].reshape(-1, s)
-        stacks.append(m[idx[:, :, None], idx[:, None, :]])
-    return stacks
+    if size[0] == n:
+        return None
+    return [order[size == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
 
 
 def schatten_norm(x, p: float) -> float:

@@ -388,6 +388,27 @@ def check_soundness_vs_upper_bound(seed: int) -> CheckResult:
     )
 
 
+def check_russo_dye_p1(seed: int) -> CheckResult:
+    # at p = 1 and theta = 1/2 a positive T makes U positive, and Russo-Dye
+    # on its adjoint gives ||U||_1->1 = ||U^*(I)|| = ||G^-1/2 T^*(G) G^-1/2||,
+    # which is C_1: an exact value at every n, held from both sides
+    rng = _rng(seed, 32)
+    gaps = []
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(4):
+            t = _random_cp_map(rng, n)
+            state = _random_state(rng, n)
+            c1 = compatibility(t, state).c1
+            emap = build_embedded(t, state, 1.0, 0.5)
+            gaps.append((estimate_norm(emap.u_action, 1.0, seed=seed).value - c1) / c1)
+    lo, hi = min(gaps), max(gaps)
+    return CheckResult(
+        "normest.russo_dye_p1",
+        max(-lo, hi) <= 1e-12,
+        f"rel gap to C_1 in [{lo:.2e}, {hi:.2e}] over {len(gaps)} maps",
+    )
+
+
 def check_determinism(seed: int) -> CheckResult:
     rng = _rng(seed, 17)
     t = _random_cp_map(rng, 2)

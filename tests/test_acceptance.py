@@ -168,7 +168,7 @@ def test_criterion_9_invariant_suite(tmp_path):
     failures = report["failures"]
     _report(
         9,
-        code == 0 and report["passed"] is True and len(checks) == 31 and not failures,
+        code == 0 and report["passed"] is True and len(checks) == 32 and not failures,
         f"exit {code}; {len(checks) - len(failures)}/{len(checks)} invariant checks passed"
         + (f"; failures: {failures}" if failures else ""),
     )

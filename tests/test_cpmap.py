@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,9 +13,10 @@ from nclp.cpmap import (
     unvec,
     vec,
 )
-from nclp.matcore import _diagonal_blocks, _hermitian_part
+from nclp.matcore import _block_indices, _hermitian_part
 from nclp.qubitfamily import qubit_map, qubit_state
 from nclp.selfcheck import _ginibre, _random_state, _random_unitary
+from nclp.tensor import kron_superop
 
 RNG = np.random.default_rng(20240812)
 
@@ -190,7 +192,7 @@ def _split(rng, t):
     c[9:, 9:] = g @ g.conj().T / (2.0 * np.abs(g @ g.conj().T).max())
     perm = rng.permutation(16)
     c = c[np.ix_(perm, perm)]
-    assert sorted(b.shape for b in _diagonal_blocks(c)) == [(1, 7, 7), (1, 9, 9)]
+    assert sorted(idx.shape for idx in _block_indices(c != 0)) == [(1, 7), (1, 9)]
     return SuperOperator.from_choi(c)
 
 
@@ -207,10 +209,10 @@ def test_cp_test_links_blocks_through_one_asymmetric_entry():
     # two positive blocks, joined by a single entry with no mirror: the entry
     # puts them in one block, where the asymmetry test refuses it
     c = np.eye(4) + 0.5 * np.eye(4, k=2) + 0.5 * np.eye(4, k=-2)
-    assert len(_diagonal_blocks(c)[0]) == 2
+    assert _block_indices(c != 0)[0].shape == (2, 2)
     assert is_completely_positive(SuperOperator.from_choi(c))
     c[1, 0] = 1e-3
-    assert len(_diagonal_blocks(c)) == 1
+    assert _block_indices(c != 0) is None
     assert not is_completely_positive(SuperOperator.from_choi(c))
     # the zero map splits into 1x1 zero blocks and is CP
     assert is_completely_positive(SuperOperator(np.zeros((9, 9))))
@@ -244,6 +246,98 @@ def test_cp_rule_refuses_a_dip_that_lambda_max_used_to_excuse():
     assert np.linalg.eigvalsh(c)[0] == pytest.approx(-2e-10, rel=1e-6)
     assert _eigenvalue_rule(t)
     assert not is_completely_positive(t)
+
+
+def _dense_rule(t: SuperOperator) -> bool:
+    """Reference: the whole Choi matrix C, Hermitian to CP_TOL * scale, and
+    lambda_min >= -CP_TOL * scale for its Hermitian part, scale = max(1, max |C_ij|)."""
+    c = t.choi
+    scale = max(1.0, np.abs(c).max())
+    if np.abs(c - c.conj().T).max() > CP_TOL * scale:
+        return False
+    return bool(np.linalg.eigvalsh(_hermitian_part(c))[0] >= -CP_TOL * scale)
+
+
+def _block_sparse_choi(rng, n, complex_blocks, dip):
+    """A Choi matrix on M_n made of random positive blocks on a random
+    partition of its n^2 indices, in a random permutation, with the
+    expected verdict.  Blocks other than part[0]'s are scaled by 1, 16 or
+    256, so scale often comes from a block other than the one a nonzero
+    ``dip`` perturbs, and a rule that reads it from the wrong entries moves
+    some verdicts; part[0]'s block keeps entries at most 2, so scale read
+    before the perturbation is within a factor 2 of scale after it.  The
+    dip puts lambda_min of that block at dip * CP_TOL * scale, and a
+    one-sided entry joins two blocks, of
+    modulus 0.01 or 10 times CP_TOL * scale (the second is refused as
+    asymmetric)."""
+    size = n * n
+    part = rng.integers(0, rng.integers(1, size + 1), size)
+    c = np.zeros((size, size), dtype=complex if complex_blocks else float)
+    for label in np.unique(part):
+        idx = np.flatnonzero(part == label)
+        v = _random_unitary(rng, len(idx)) if complex_blocks else np.linalg.qr(
+            rng.standard_normal((len(idx), len(idx))))[0]
+        grow = 1.0 if label == part[0] else 16.0 ** rng.integers(0, 3)
+        w = rng.uniform(0.0, 2.0 / len(idx), len(idx)) * grow
+        c[np.ix_(idx, idx)] = (v * w) @ v.conj().T
+    scale = max(1.0, np.abs(c).max())
+    cp = True
+    if dip:
+        idx = np.flatnonzero(part == part[0])
+        h = c[np.ix_(idx, idx)]
+        w, v = np.linalg.eigh(h)
+        c[np.ix_(idx, idx)] = h + (dip * CP_TOL * scale - w[0]) * np.outer(v[:, 0], v[:, 0].conj())
+        cp = dip > -1.0
+    if len(np.unique(part)) > 1 and rng.random() < 0.5:
+        a = int(np.flatnonzero(part == part[0])[0])
+        b = int(np.flatnonzero(part != part[0])[0])
+        big = rng.random() < 0.5
+        c[a, b] = (10.0 if big else 0.01) * CP_TOL * scale
+        cp = cp and not big
+    perm = rng.permutation(size)
+    return SuperOperator.from_choi(c[np.ix_(perm, perm)]), cp
+
+
+@pytest.mark.parametrize("complex_blocks", [False, True], ids=["real", "complex"])
+def test_cp_verdicts_from_gathered_blocks_match_the_dense_rule(complex_blocks):
+    # CP, just inside and just outside the tolerance, and one-sided entries
+    rng = np.random.default_rng([20261020, complex_blocks])
+    verdicts, split = set(), 0
+    for case in range(400):
+        n = 1 + case % 4
+        dip = (0.0, 0.0, -0.25, -4.0)[int(rng.integers(0, 4))]
+        t, cp = _block_sparse_choi(rng, n, complex_blocks, dip)
+        assert is_completely_positive(t) == _dense_rule(t) == cp, (case, n, dip)
+        verdicts.add(cp)
+        split += _block_indices(t.choi != 0) is not None
+    assert verdicts == {True, False} and split >= 150
+
+
+def test_cp_verdicts_on_family_powers_match_the_dense_rule():
+    transpose = SuperOperator.from_map(lambda e: e.T.copy(), 2)
+    for c in (0.1, 0.3, 0.5):
+        base = qubit_map(c)
+        power = base
+        for _ in range(3):  # k = 2, 3, 4
+            off = kron_superop(power, transpose)  # not CP, and it splits too
+            power = kron_superop(power, base)
+            for t, cp in ((power, True), (off, False)):
+                assert _block_indices(t.choi != 0) is not None
+                assert is_completely_positive(t) == _dense_rule(t) == cp
+
+
+def test_cp_test_of_the_fourth_family_power_stays_below_one_choi_matrix():
+    # the blocks are gathered from the action matrix: no 256 x 256 float
+    # temporary, the size of the Choi matrix, is ever held
+    base = qubit_map(0.3)
+    t = kron_superop(kron_superop(kron_superop(base, base), base), base)
+    tracemalloc.start()
+    try:
+        assert is_completely_positive(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 256 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from nclp.cpmap import SuperOperator
 from nclp.embed import EmbeddedMap, exact_norm_p2
 from nclp.matcore import (
     _as_matrix,
-    _diagonal_blocks,
+    _block_indices,
     dual_element,
     schatten_norm,
 )
@@ -78,6 +78,12 @@ def _permuted_direct_sum(rng, sizes, dtype):
     return _permuted(rng, m)
 
 
+def _stacks(m):
+    """The index stacks of m's blocks, the whole range when m does not split."""
+    stacks = _block_indices(m != 0)
+    return [np.arange(m.shape[0])[None]] if stacks is None else stacks
+
+
 def _bidiagonal(rng, n):
     return np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
 
@@ -94,9 +100,9 @@ def test_spectral_norm_of_a_permuted_direct_sum(dtype):
     # one SVD and equals the full SVD by construction)
     rng = np.random.default_rng([20240811, dtype is complex])
     x = _permuted_direct_sum(rng, (3, 5, 1, 6), dtype)
-    sizes = sorted(b.shape for b in _diagonal_blocks(_as_matrix(x)))
+    sizes = sorted(idx.shape for idx in _stacks(x))
     # the 1x1 block and the zero row and column make two blocks of size 1
-    assert sizes == [(1, 3, 3), (1, 5, 5), (1, 6, 6), (2, 1, 1)]
+    assert sizes == [(1, 3), (1, 5), (1, 6), (2, 1)]
     full = np.linalg.svd(x, compute_uv=False)[0]
     assert _p2_norm(x) == pytest.approx(full, rel=1e-14)
 
@@ -117,7 +123,7 @@ def test_spectral_norm_of_one_block_is_the_full_svd(make):
     # replaces the schatten_norm assertion, equal to the full SVD by
     # construction)
     x = make(np.random.default_rng(20240819))
-    assert len(_diagonal_blocks(_as_matrix(x))) == 1
+    assert _block_indices(x != 0) is None
     assert _p2_norm(x) == np.linalg.svd(x, compute_uv=False)[0]
 
 
@@ -165,22 +171,18 @@ def test_diagonal_blocks_match_an_independent_labelling():
     for _ in range(200):
         m = _random_pattern(rng)
         n = m.shape[0]
-        # the diagonal links nothing, so tagging it with 1..n names each
-        # block's indices without changing the blocks
-        tagged = m.copy()
-        np.fill_diagonal(tagged, np.arange(1.0, n + 1.0))
-        stacks = _diagonal_blocks(tagged)
+        stacks = _stacks(m)
         sizes = [st.shape[-1] for st in stacks]
         assert len(set(sizes)) == len(sizes)  # one stack per size
-        blocks = [np.diagonal(b).real.astype(int) - 1 for st in stacks for b in st]
+        blocks = [idx for st in stacks for idx in st]
         assert all((np.diff(b) > 0).all() for b in blocks)  # ascending
         assert sorted(b.tolist() for b in blocks) == _components(m)
-        # the untagged matrix gives the same blocks, read off m itself
-        flat = [b for st in _diagonal_blocks(m) for b in st]
-        assert len(flat) == len(blocks)
+        # the diagonal links nothing, so filling it keeps the blocks
+        tagged = m.copy()
+        np.fill_diagonal(tagged, np.arange(1.0, n + 1.0))
+        assert all(np.array_equal(a, b) for a, b in zip(_stacks(tagged), stacks, strict=True))
         inside = np.zeros((n, n), dtype=bool)
-        for b, idx in zip(flat, blocks):
-            assert np.array_equal(b, m[np.ix_(idx, idx)])
+        for idx in blocks:
             inside[np.ix_(idx, idx)] = True
         assert not m[~inside].any() and not m.T[~inside].any()
 
@@ -213,9 +215,7 @@ def test_diagonal_blocks_link_one_sided_entries():
         m = m[np.ix_(perm, perm)]
         assert not (m.astype(bool) & m.T.astype(bool)).any()
         blocks = {tuple(_reachable(m, i)) for i in range(n)}
-        tagged = m + np.diag(np.arange(1.0, n + 1.0))
-        stacks = _diagonal_blocks(tagged)
-        found = [tuple(np.diagonal(b).astype(int) - 1) for st in stacks for b in st]
+        found = [tuple(idx) for st in _stacks(m) for idx in st]
         assert sorted(found) == sorted(blocks)
 
 

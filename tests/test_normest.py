@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp.cpmap import SuperOperator, _matrix_units
+from nclp.cpmap import State, SuperOperator, _matrix_units
 from nclp.embed import build_embedded
 from nclp.matcore import dual_element, schatten_norm
 from nclp.normest import (
@@ -293,6 +293,28 @@ def test_direct_sum_reaches_each_block(frame, seed, p):
     est = estimate_norm(u, p).value
     for block in (transpose, g):
         assert est >= estimate_norm(block, p).value * (1.0 - 1e-12)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP.md item 1: the winning start's polish runs all MAX_ITERS = 500 "
+    "steps (572 with the screen), converged is false, and the estimate ends 2.0e-9 "
+    "relative below the closed form",
+)
+def test_transpose_map_reaches_its_closed_form_in_a_rotated_frame():
+    # the transpose map with a real symmetric state G has the norm
+    # (lambda_max / lambda_min)^(|1 - 2 theta| / p) at every p, attained on
+    # a matrix unit of G's eigenbasis; here G is diagonal in no standard basis
+    rng = np.random.default_rng([20261020, 13])
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    w = rng.uniform(0.1, 1.0, 5)
+    g = (q * (w / w.sum())) @ q.T
+    state = State.from_matrix((g + g.T) / 2.0)
+    p, theta = 3.0, 0.25
+    exact = (state.eigenvalues[0] / state.eigenvalues[-1]) ** (abs(1.0 - 2.0 * theta) / p)
+    transpose = SuperOperator.from_map(lambda x: x.T, 5)
+    est = estimate_norm(build_embedded(transpose, state, p, theta).u_action, p)
+    assert est.value == pytest.approx(exact, rel=1e-12)
 
 
 def _masked_ascent_stack(p, c):

@@ -39,6 +39,30 @@ def test_kron_defining_property_on_units():
                 assert np.array_equal(big(x), expected)
 
 
+def _one_broadcast(s1, s2):
+    """The product as one broadcast multiply, K1's entry first: the inner
+    loop runs along i2 at every shape."""
+    n1, n2 = s1.dim, s2.dim
+    k1 = s1.action_matrix.reshape((n1,) * 4)
+    k2 = s2.action_matrix.reshape((n2,) * 4)
+    prod = k1[:, None, :, None, :, None, :, None] * k2[None, :, None, :, None, :, None, :]
+    return prod.reshape((n1 * n2) ** 2, (n1 * n2) ** 2)
+
+
+@pytest.mark.parametrize("dtypes", [(float, float), (complex, complex), (float, complex),
+                                    (complex, float)], ids=["rr", "cc", "rc", "cr"])
+def test_kron_keeps_the_one_broadcast_bits_at_every_shape(dtypes):
+    # the per-i2 passes change only the order of the products, never an
+    # operand: numpy's complex multiply is not bitwise commutative
+    rng = np.random.default_rng([20261020, *(d is complex for d in dtypes)])
+    draw = {float: lambda m: rng.standard_normal((m, m)), complex: lambda m: _ginibre(rng, m)}
+    for n1, n2 in ((a, b) for a in range(1, 17) for b in range(1, 17) if a * b <= 16):
+        s1 = SuperOperator(draw[dtypes[0]](n1 * n1))
+        s2 = SuperOperator(draw[dtypes[1]](n2 * n2))
+        got, want = kron_superop(s1, s2).action_matrix, _one_broadcast(s1, s2)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n1, n2)
+
+
 def test_kron_on_product_matrices():
     s1 = SuperOperator(_ginibre(RNG, 4))
     s2 = SuperOperator(_ginibre(RNG, 9))
