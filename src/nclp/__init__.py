@@ -18,7 +18,6 @@ from .embed import (
     EmbeddedMap,
     Source,
     Status,
-    Thresholds,
     build_embedded,
     classify_region,
     exact_norm_p2,
@@ -50,7 +49,6 @@ __all__ = [
     "State",
     "Status",
     "SuperOperator",
-    "Thresholds",
     "alpha",
     "alpha1",
     "build_embedded",

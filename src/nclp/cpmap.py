@@ -210,25 +210,18 @@ def is_completely_positive(t: SuperOperator) -> bool:
     Both tests run on each of C's diagonal blocks (``_block_indices`` of
     C's support), with the scale of the whole C: entries between blocks are
     zero in both C and C^*, so this is the same test as on the whole matrix,
-    and the largest |C_ij| lies in a block.  The blocks are gathered straight
-    from the action matrix K, since C[i*n + k, j*n + l] = K[k + n*l, i + n*j],
-    so C is never built unless it does not split.
+    and the largest |C_ij| lies in a block.  The blocks, all of C when it
+    does not split, are gathered straight from the action matrix K, since
+    C[i*n + k, j*n + l] = K[k + n*l, i + n*j].
     """
-    linked = t.action_matrix != 0
-    # a dense K has a dense C, which needs no reshuffled mask
-    stacks = None if linked.all() else _block_indices(_reshuffle(linked, t.dim))
-    if stacks is None:
-        c = t.choi
-        scale = max(1.0, np.abs(c).max())
-        blocks = [c[None]]
-    else:
-        n = t.dim
-        # C[i*n + k, j*n + l] is entry r[i*n + k] + n * r[j*n + l] of K's
-        # flat buffer, where r[i*n + k] = k*n^2 + i
-        r = (np.arange(n) * (n * n) + np.arange(n)[:, None]).reshape(-1)
-        flat = t.action_matrix.reshape(-1)
-        blocks = [flat[r[idx][:, :, None] + n * r[idx][:, None, :]] for idx in stacks]
-        scale = max(1.0, *(np.abs(b).max() for b in blocks))
+    n = t.dim
+    # C[i*n + k, j*n + l] is entry r[i*n + k] + n * r[j*n + l] of K's
+    # flat buffer, where r[i*n + k] = k*n^2 + i
+    r = (np.arange(n) * (n * n) + np.arange(n)[:, None]).reshape(-1)
+    flat = t.action_matrix.reshape(-1)
+    stacks = _block_indices(_reshuffle(t.action_matrix != 0, n))
+    blocks = [flat[r[idx][:, :, None] + n * r[idx][:, None, :]] for idx in stacks]
+    scale = max(1.0, *(np.abs(b).max() for b in blocks))
     for b in blocks:
         if np.abs(b - b.conj().swapaxes(-1, -2)).max() > CP_TOL * scale:
             return False

@@ -113,9 +113,10 @@ def exact_norm_p2(emap: EmbeddedMap) -> float:
     if emap.p != 2.0:
         raise ValueError(f"exact norm only available at p = 2, got p = {emap.p}")
     m = emap.u_action.action_matrix
-    stacks = _block_indices(m != 0)
-    blocks = [m[None]] if stacks is None else [m[i[:, :, None], i[:, None, :]] for i in stacks]
-    return max(float(np.linalg.svd(b, compute_uv=False)[:, 0].max()) for b in blocks)
+    return max(
+        float(np.linalg.svd(m[i[:, :, None], i[:, None, :]], compute_uv=False)[:, 0].max())
+        for i in _block_indices(m != 0)
+    )
 
 
 def upper_bound(rep: CompatibilityReport, p: float, source: Source) -> float | None:
@@ -136,19 +137,12 @@ def upper_bound(rep: CompatibilityReport, p: float, source: Source) -> float | N
     return rep.c_inf ** (1.0 - 1.0 / p) * rep.c1 ** (1.0 / p)
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """theta0 = (1 - sqrt(p-1))/2 and its mirror theta1 = 1 - theta0."""
-
-    theta0: float
-    theta1: float
-
-
-def theta_thresholds(p: float) -> Thresholds:
+def theta_thresholds(p: float) -> tuple[float, float]:
+    """(theta0, theta1) with theta0 = (1 - sqrt(p-1))/2 and theta1 = 1 - theta0."""
     if not (1.0 <= p <= 2.0):
         raise ValueError(f"thresholds are defined for p in [1, 2], got {p}")
     half_width = 0.5 * math.sqrt(p - 1.0)
-    return Thresholds(theta0=0.5 - half_width, theta1=0.5 + half_width)
+    return 0.5 - half_width, 0.5 + half_width
 
 
 def classify_region(p: float, theta: float) -> Source:
@@ -172,11 +166,11 @@ def _classify_row(p: float, thetas: Sequence[float]) -> list[Source]:
     if p >= 2.0:
         return [Source.THM41] * len(thetas)
     lo, hi = 1.0 - p / 2.0, p / 2.0
-    th = theta_thresholds(p)
+    theta0, theta1 = theta_thresholds(p)
     return [
         Source.HJX_HALF if theta == 0.5
         else Source.THM43 if lo <= theta <= hi
-        else Source.THM61 if theta < th.theta0 or theta > th.theta1
+        else Source.THM61 if theta < theta0 or theta > theta1
         else Source.NONE
         for theta in thetas
     ]

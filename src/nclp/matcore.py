@@ -44,12 +44,13 @@ def _hermitian_part(m: np.ndarray) -> np.ndarray:
     return m / 2.0 + m.conj().swapaxes(-1, -2) / 2.0
 
 
-def _block_indices(linked: np.ndarray) -> list[np.ndarray] | None:
+def _block_indices(linked: np.ndarray) -> list[np.ndarray]:
     """The blocks of a square matrix whose entries are nonzero where the bool
     mask ``linked`` is set, under the permutation that makes the matrix block
-    diagonal: one (k, s) stack of index rows per block size s, or None when
-    the matrix does not split.  Only ``embed.exact_norm_p2`` and the CP test
-    factor per block, each gathering its blocks from its own array.
+    diagonal: one (k, s) stack of index rows per block size s.  A matrix that
+    does not split is the one block ``[np.arange(n)[None]]``.  Only
+    ``embed.exact_norm_p2`` and the CP test factor per block, each gathering
+    its blocks from its own array.
 
     Indices i and j share a block when a chain of entries with
     ``linked[i, j]`` or ``linked[j, i]`` joins them, so only exact zeros
@@ -61,7 +62,7 @@ def _block_indices(linked: np.ndarray) -> list[np.ndarray] | None:
     """
     n = linked.shape[0]
     if linked.all():  # the common dense case needs no labelling
-        return None
+        return [np.arange(n)[None]]
     # On a 2-D mask np.nonzero costs several times np.flatnonzero.  Each
     # entry links both ways, so the edges are (i, j) and (j, i): cheaper
     # than reading the mask again through a strided transpose.
@@ -82,8 +83,6 @@ def _block_indices(linked: np.ndarray) -> list[np.ndarray] | None:
         label = hooked
     order = np.argsort(label, kind="stable")
     size = np.bincount(label)[label[order]]
-    if size[0] == n:
-        return None
     return [order[size == s].reshape(-1, s) for s in np.flatnonzero(np.bincount(size))]
 
 

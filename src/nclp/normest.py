@@ -117,7 +117,8 @@ def _ascend(action: np.ndarray, p: float, ys: np.ndarray, tol: float = REL_TOL) 
         rows = np.flatnonzero(active)
         if rows.size == 0:
             break
-        # a whole-array slice while every start is live, gathers otherwise
+        # a slice while every start is live: gathering through ``rows`` gives
+        # the same bits, but its copies slow the small-n estimates
         idx = slice(None) if rows.size == k else rows
         w_tops, _, y_next = _image(adjoint, duals[idx], q)
         live = w_tops >= _TINY

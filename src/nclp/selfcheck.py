@@ -364,8 +364,11 @@ _SOUNDNESS_CELLS += [(1.0, 0.5), (1.3, 0.5), (1.7, 0.5)]
 
 
 def check_soundness_vs_upper_bound(seed: int) -> CheckResult:
+    # every estimate is at most the bound up to rounding: 1e-14 relative
+    # covers a few ulps of the estimate and of C_1 at p = 1, theta = 1/2,
+    # where the exact norm is C_1
     rng = _rng(seed, 16)
-    worst = -math.inf
+    ok, worst = True, -math.inf
     cases = 0
     for n in (2, 3):
         for _ in range(2):
@@ -379,12 +382,13 @@ def check_soundness_vs_upper_bound(seed: int) -> CheckResult:
                     return CheckResult("normest.soundness_vs_upper_bound", False, detail)
                 emap = build_embedded(t, state, p, theta)
                 est = estimate_norm(emap.u_action, p, restarts=4, seed=seed).value
-                worst = max(worst, est - bound)
+                ok = ok and est <= bound * (1.0 + 1e-14)
+                worst = max(worst, est / bound - 1.0)
                 cases += 1
     return CheckResult(
         "normest.soundness_vs_upper_bound",
-        worst <= 1e-8,
-        f"max excess {worst:.2e} over {cases} cases",
+        ok,
+        f"max relative excess {worst:.2e} over {cases} cases",
     )
 
 
@@ -553,8 +557,8 @@ def check_taylor_alpha(seed: int) -> CheckResult:
             continue
         draws += 1
         q = p / (p - 1.0)
-        th = theta_thresholds(p)
-        factored = 8.0 * q * (theta - th.theta0) * (theta - th.theta1)
+        theta0, theta1 = theta_thresholds(p)
+        factored = 8.0 * q * (theta - theta0) * (theta - theta1)
         if abs(factored - a) > 1e-12:
             return CheckResult(
                 "qubitfamily.taylor_alpha", False, f"alpha forms differ by {abs(factored - a):.2e}"
@@ -589,8 +593,8 @@ def check_sign_law(seed: int) -> CheckResult:
     for _ in range(200):
         p = float(rng.uniform(1.0 + 1e-9, 2.0))
         theta = float(rng.uniform(0.0, 1.0))
-        th = theta_thresholds(p)
-        outside = theta < th.theta0 or theta > th.theta1
+        theta0, theta1 = theta_thresholds(p)
+        outside = theta < theta0 or theta > theta1
         ok = ok and (alpha(p, theta) > 0) == outside
         if outside:
             ok = ok and classify_region(p, theta).status is Status.UNBOUNDED

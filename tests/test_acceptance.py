@@ -71,16 +71,16 @@ def test_criterion_1_threshold_reproduction():
     failures = []
     for j in range(10):
         p = 1.0 + j * 0.1
-        th = theta_thresholds(p)
+        theta0, theta1 = theta_thresholds(p)
         for k in range(101):
             theta = k * grid_step
             near_curve = (
-                abs(theta - th.theta0) <= grid_step + 1e-12
-                or abs(theta - th.theta1) <= grid_step + 1e-12
+                abs(theta - theta0) <= grid_step + 1e-12
+                or abs(theta - theta1) <= grid_step + 1e-12
             )
             if near_curve:
                 continue
-            expected = theta < th.theta0 or theta > th.theta1
+            expected = theta < theta0 or theta > theta1
             witness = find_counterexample(p, theta, 1e-6)
             if (witness is not None) != expected:
                 failures.append((p, theta, expected))

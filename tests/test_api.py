@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "State",
     "Status",
     "SuperOperator",
-    "Thresholds",
     "alpha",
     "alpha1",
     "build_embedded",

@@ -281,8 +281,8 @@ def _per_cell_rule(p, theta):
         return Source.HJX_HALF
     if 1.0 - p / 2.0 <= theta <= p / 2.0:
         return Source.THM43
-    th = theta_thresholds(p)
-    if theta < th.theta0 or theta > th.theta1:
+    theta0, theta1 = theta_thresholds(p)
+    if theta < theta0 or theta > theta1:
         return Source.THM61
     return Source.NONE
 
@@ -291,8 +291,7 @@ def test_row_classifier_is_the_per_cell_rule():
     ps = [1.0 + k * 0.03 for k in range(40)] + [math.nextafter(2.0, 1.0), 2.0, 2.5]
     for p in ps:
         thetas = [k / 200 for k in range(201)] + [
-            0.5, 1.0 - p / 2.0, p / 2.0, theta_thresholds(min(p, 2.0)).theta0,
-            theta_thresholds(min(p, 2.0)).theta1,
+            0.5, 1.0 - p / 2.0, p / 2.0, *theta_thresholds(min(p, 2.0)),
         ]
         thetas = [t for t in thetas if 0.0 <= t <= 1.0]
         want = [_per_cell_rule(p, t) for t in thetas]
@@ -324,13 +323,11 @@ def test_row_classifier_refuses_what_classify_region_refuses():
 
 
 def test_thresholds_table():
-    t1 = theta_thresholds(1.0)
-    assert (t1.theta0, t1.theta1) == (0.5, 0.5)
-    t2 = theta_thresholds(2.0)
-    assert (t2.theta0, t2.theta1) == (0.0, 1.0)
-    t125 = theta_thresholds(1.25)
-    assert t125.theta0 == pytest.approx(0.25, abs=1e-15)
-    assert t125.theta1 == pytest.approx(0.75, abs=1e-15)
+    assert theta_thresholds(1.0) == (0.5, 0.5)
+    assert theta_thresholds(2.0) == (0.0, 1.0)
+    theta0, theta1 = theta_thresholds(1.25)
+    assert theta0 == pytest.approx(0.25, abs=1e-15)
+    assert theta1 == pytest.approx(0.75, abs=1e-15)
 
 
 def test_thresholds_structure():
@@ -338,8 +335,10 @@ def test_thresholds_structure():
     for _ in range(20):
         p = float(rng.uniform(1.0, 2.0))
         th = theta_thresholds(p)
-        assert th.theta0 + th.theta1 == pytest.approx(1.0, abs=1e-15)
-        assert th.theta0 <= 0.5 <= th.theta1
+        assert type(th) is tuple and len(th) == 2
+        theta0, theta1 = th
+        assert theta0 + theta1 == pytest.approx(1.0, abs=1e-15)
+        assert theta0 <= 0.5 <= theta1
     with pytest.raises(ValueError):
         theta_thresholds(2.5)
 

@@ -78,12 +78,6 @@ def _permuted_direct_sum(rng, sizes, dtype):
     return _permuted(rng, m)
 
 
-def _stacks(m):
-    """The index stacks of m's blocks, the whole range when m does not split."""
-    stacks = _block_indices(m != 0)
-    return [np.arange(m.shape[0])[None]] if stacks is None else stacks
-
-
 def _bidiagonal(rng, n):
     return np.diag(rng.standard_normal(n)) + np.diag(rng.standard_normal(n - 1), 1)
 
@@ -100,7 +94,7 @@ def test_spectral_norm_of_a_permuted_direct_sum(dtype):
     # one SVD and equals the full SVD by construction)
     rng = np.random.default_rng([20240811, dtype is complex])
     x = _permuted_direct_sum(rng, (3, 5, 1, 6), dtype)
-    sizes = sorted(idx.shape for idx in _stacks(x))
+    sizes = sorted(idx.shape for idx in _block_indices(x != 0))
     # the 1x1 block and the zero row and column make two blocks of size 1
     assert sizes == [(1, 3), (1, 5), (1, 6), (2, 1)]
     full = np.linalg.svd(x, compute_uv=False)[0]
@@ -119,11 +113,12 @@ def test_spectral_norm_of_a_permuted_direct_sum(dtype):
 def test_spectral_norm_of_one_block_is_the_full_svd(make):
     # a bidiagonal pattern is one block joined by the longest chain; permuted,
     # the chain's labels arrive from both directions.  exact_norm_p2 factors
-    # the one block whole, so it equals the full SVD bit for bit (this
-    # replaces the schatten_norm assertion, equal to the full SVD by
-    # construction)
+    # the one block, a gathered copy of the whole matrix, so it equals the
+    # full SVD bit for bit (this replaces the schatten_norm assertion, equal
+    # to the full SVD by construction)
     x = make(np.random.default_rng(20240819))
-    assert _block_indices(x != 0) is None
+    (stack,) = _block_indices(x != 0)
+    assert np.array_equal(stack, np.arange(x.shape[0])[None])
     assert _p2_norm(x) == np.linalg.svd(x, compute_uv=False)[0]
 
 
@@ -168,10 +163,12 @@ def _random_pattern(rng):
 
 def test_diagonal_blocks_match_an_independent_labelling():
     rng = np.random.default_rng(20261019)
-    for _ in range(200):
-        m = _random_pattern(rng)
+    # a dense mask, the bidiagonal one block and n = 1, then random patterns
+    one = np.random.default_rng([20261019, 1])
+    fixed = [_ginibre(one, 7), _bidiagonal(one, 12), np.zeros((1, 1))]
+    for m in fixed + [_random_pattern(rng) for _ in range(200)]:
         n = m.shape[0]
-        stacks = _stacks(m)
+        stacks = _block_indices(m != 0)
         sizes = [st.shape[-1] for st in stacks]
         assert len(set(sizes)) == len(sizes)  # one stack per size
         blocks = [idx for st in stacks for idx in st]
@@ -180,7 +177,8 @@ def test_diagonal_blocks_match_an_independent_labelling():
         # the diagonal links nothing, so filling it keeps the blocks
         tagged = m.copy()
         np.fill_diagonal(tagged, np.arange(1.0, n + 1.0))
-        assert all(np.array_equal(a, b) for a, b in zip(_stacks(tagged), stacks, strict=True))
+        again = _block_indices(tagged != 0)
+        assert all(np.array_equal(a, b) for a, b in zip(again, stacks, strict=True))
         inside = np.zeros((n, n), dtype=bool)
         for idx in blocks:
             inside[np.ix_(idx, idx)] = True
@@ -215,7 +213,7 @@ def test_diagonal_blocks_link_one_sided_entries():
         m = m[np.ix_(perm, perm)]
         assert not (m.astype(bool) & m.T.astype(bool)).any()
         blocks = {tuple(_reachable(m, i)) for i in range(n)}
-        found = [tuple(idx) for st in _stacks(m) for idx in st]
+        found = [tuple(idx) for st in _block_indices(m != 0) for idx in st]
         assert sorted(found) == sorted(blocks)
 
 

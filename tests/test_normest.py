@@ -295,6 +295,21 @@ def test_direct_sum_reaches_each_block(frame, seed, p):
         assert est >= estimate_norm(block, p).value * (1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.25])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("c", [0.3, 0.1])
+def test_transpose_map_reaches_its_closed_form(c, p, theta):
+    # the transpose is positive and unital with C_1 = 1 but not 2-positive:
+    # with G = diag(1 - c, c) its embedded norm is ((1-c)/c)^(|1-2 theta|/p),
+    # above the bound form C_inf^(1-1/p) C_1^(1/p) = 1 at theta != 1/2, in
+    # Thm41 cells too; held from both sides
+    state = State.from_matrix(np.diag([1.0 - c, c]))
+    exact = ((1.0 - c) / c) ** (abs(1.0 - 2.0 * theta) / p)
+    transpose = SuperOperator.from_map(lambda x: x.T, 2)
+    est = estimate_norm(build_embedded(transpose, state, p, theta).u_action, p).value
+    assert abs(est - exact) <= 1e-12 * exact
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP.md item 1: the winning start's polish runs all MAX_ITERS = 500 "

@@ -518,7 +518,7 @@ def test_no_counterexample_in_thm43_interval():
 
 
 def test_counterexample_above_theta1():
-    th1 = theta_thresholds(1.1).theta1
+    _, th1 = theta_thresholds(1.1)
     assert th1 == pytest.approx(0.6581138830084190, abs=1e-12)
     w = find_counterexample(1.1, 0.95, 1e-6)
     assert w is not None and w.m_value > 1.0 + 1e-6
