@@ -32,7 +32,6 @@ from .qubitfamily import (
     alpha1,
     family_max,
     family_witness,
-    find_counterexample,
     qubit_map,
     qubit_state,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "exact_norm_p2",
     "family_max",
     "family_witness",
-    "find_counterexample",
     "is_completely_positive",
     "kron_state",
     "kron_superop",

@@ -23,7 +23,7 @@ import numpy as np
 from .cpmap import State, SuperOperator, compatibility
 from .embed import Source, _classify_row, build_embedded, classify_region, upper_bound
 from .normest import DEFAULT_SEED, RESTARTS, _check_seed, estimate_norm
-from .qubitfamily import _family_row, find_counterexample
+from .qubitfamily import _family_row, family_max
 from .tensor import steps_to_exceed
 
 EXIT_OK = 0
@@ -287,10 +287,10 @@ def cmd_counterexample(args) -> int:
             f"{classify_region(args.p, args.theta).status.value} and the family "
             "provides no witness"
         )
-    witness = find_counterexample(args.p, args.theta, args.tol)
-    if witness is None:
-        payload = "none"
-    else:
+    if not args.tol > 0:
+        raise ValueError("tolerance must be positive")
+    witness = family_max(args.p, args.theta)
+    if witness.m_value > 1.0 + args.tol:
         payload = {
             "c": witness.c,
             "t": witness.c - 0.5,
@@ -301,6 +301,8 @@ def cmd_counterexample(args) -> int:
             "theta": args.theta,
             "tensor_factors_to_exceed_10": steps_to_exceed(witness.m_value, DIVERGENCE_THRESHOLD),
         }
+    else:
+        payload = "none"
     _write_json(payload, args.out)
     return EXIT_OK
 
@@ -336,7 +338,10 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process: built once, since building it costs about
+    a millisecond per call and parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="nclp",
         description="Induced Schatten-norm estimates, boundedness bounds, and "
@@ -372,13 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vf.add_argument("--out", help="JSON report path")
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process: built once, since building it costs about
-    a millisecond per call and parsing leaves it unchanged."""
-    return build_parser()
 
 
 def main(argv=None) -> int:

@@ -385,6 +385,9 @@ def family_max(p: float, theta: float) -> QubitWitness:
     after each move) and its grid-wins rule, with ``_float_log_m_pow_p`` as
     the objective.  One theta through the stacked loop would make some 30
     numpy calls on 1-element arrays per step.
+
+    m_value is a certified lower bound on the member's induced norm; a
+    maximum at or below 1 is not evidence that the induced norms are bounded.
     """
     _check_family_p(p)
     _check_theta(theta)
@@ -410,15 +413,3 @@ def family_max(p: float, theta: float) -> QubitWitness:
         t_best = float(_TS[i])
     c = 0.5 + t_best
     return QubitWitness(c, *_witness(c, p, theta))
-
-
-def find_counterexample(p: float, theta: float, tol: float) -> QubitWitness | None:
-    """Witness with m_value > 1 + tol if the family certifies one, else None.
-
-    A None return means the family maximum over the scan stayed at or below
-    1 + tol; it is not evidence that the induced norms are bounded.
-    """
-    if not tol > 0:
-        raise ValueError("tolerance must be positive")
-    best = family_max(p, theta)
-    return best if best.m_value > 1.0 + tol else None

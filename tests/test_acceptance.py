@@ -13,7 +13,7 @@ import pytest
 
 from nclp import cli
 from nclp.embed import theta_thresholds
-from nclp.qubitfamily import family_witness, find_counterexample
+from nclp.qubitfamily import family_max, family_witness
 from nclp.selfcheck import (
     check_family_baseline,
     check_kron_lower_bound,
@@ -81,8 +81,7 @@ def test_criterion_1_threshold_reproduction():
             if near_curve:
                 continue
             expected = theta < theta0 or theta > theta1
-            witness = find_counterexample(p, theta, 1e-6)
-            if (witness is not None) != expected:
+            if (family_max(p, theta).m_value > 1.0 + 1e-6) != expected:
                 failures.append((p, theta, expected))
     _report(
         1,

@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "exact_norm_p2",
     "family_max",
     "family_witness",
-    "find_counterexample",
     "is_completely_positive",
     "kron_state",
     "kron_superop",

@@ -29,7 +29,6 @@ from nclp.qubitfamily import (
     _screen_log_pow_p,
     family_max,
     family_witness,
-    find_counterexample,
     qubit_map,
     qubit_state,
 )
@@ -491,9 +490,7 @@ def test_grid_argmax_temporaries_do_not_grow_with_the_thetas():
 
 
 def test_counterexample_p1_theta0():
-    w = find_counterexample(1.0, 0.0, 1e-6)
-    assert w is not None
-    assert w.m_value > 1.0 + 1e-6
+    w = family_max(1.0, 0.0)
     # the scan is capped at c = 0.5 + (0.5 - margin); value grows toward the cap
     assert w.m_value == pytest.approx(math.sqrt(w.c / (1.0 - w.c)), rel=1e-12)
     assert (w.a, w.b) == (1.0, 0.0)
@@ -504,33 +501,10 @@ def test_counterexample_value_at_specific_c():
     assert family_witness(0.9, 1.0, 0.0).m_value == pytest.approx(3.0, abs=1e-12)
 
 
-def test_counterexample_inside_unbounded_strip():
-    w = find_counterexample(1.5, 0.1, 1e-6)
-    assert w is not None and w.m_value > 1.0 + 1e-6
-
-
-def test_no_counterexample_at_half_theta():
-    assert find_counterexample(1.5, 0.5, 1e-6) is None
-
-
-def test_no_counterexample_in_thm43_interval():
-    assert find_counterexample(1.5, 0.3, 1e-6) is None
-
-
 def test_counterexample_above_theta1():
+    # the counterexample command's witness cell (1.1, 0.95) lies above this theta1
     _, th1 = theta_thresholds(1.1)
     assert th1 == pytest.approx(0.6581138830084190, abs=1e-12)
-    w = find_counterexample(1.1, 0.95, 1e-6)
-    assert w is not None and w.m_value > 1.0 + 1e-6
-
-
-def test_find_counterexample_validates_input():
-    with pytest.raises(ValueError):
-        find_counterexample(2.0, 0.5, 1e-6)
-    with pytest.raises(ValueError):
-        find_counterexample(1.5, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        find_counterexample(1.5, 1.5, 1e-6)
 
 
 @pytest.mark.parametrize(
