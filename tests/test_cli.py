@@ -551,7 +551,6 @@ def test_counterexample_near_threshold_counts_factors(capsys):
         ("1", "0", "1e-6", True),
         ("1.5", "0.1", "1e-6", True),
         ("1.1", "0.95", "1e-6", True),
-        ("1.5", "0.5", "1e-6", False),
         ("1.5", "0.3", "1e-6", False),
         ("1", "0", "inf", False),
     ],
@@ -564,6 +563,12 @@ def test_counterexample_verdict(capsys, p, theta, tol, witness):
         assert payload["m_value"] > 1.0 + float(tol)
     else:
         assert payload == "none"
+
+
+def test_counterexample_none(capsys):
+    code = cli.main(["counterexample", "--p", "1.5", "--theta", "0.5"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == "none"
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])

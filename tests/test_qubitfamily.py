@@ -501,6 +501,11 @@ def test_counterexample_value_at_specific_c():
     assert family_witness(0.9, 1.0, 0.0).m_value == pytest.approx(3.0, abs=1e-12)
 
 
+def test_no_counterexample_at_half_theta():
+    # the counterexample command's "none" cell: no member exceeds 1 + tol
+    assert family_max(1.5, 0.5).m_value <= 1.0 + 1e-6
+
+
 def test_counterexample_above_theta1():
     # the counterexample command's witness cell (1.1, 0.95) lies above this theta1
     _, th1 = theta_thresholds(1.1)
